@@ -4,16 +4,20 @@
 //! lower bound, but extrema can: shrink the tree to the compressed path
 //! tree of the `O(k)` query endpoints (which preserves pairwise extrema),
 //! then solve the static offline problem on the small tree. The paper uses
-//! King et al.'s `O(n + k)` MST-verification subroutine; we use
-//! Euler-rooting + binary lifting over the compressed tree
-//! (`O(k log k)` — one log above, see DESIGN.md §4).
+//! King et al.'s `O(n + k)` MST-verification subroutine; this module roots
+//! the compressed tree by BFS and answers each pair by binary lifting over
+//! flat level-major tables instead. That costs `O(k log k)`, one log
+//! factor above the paper, for a far simpler static solver.
+//!
+//! One marked sweep serves the whole batch: the compressed tree is built
+//! on its slots, and each endpoint maps to its tree vertex through its
+//! slot.
 
 use crate::aggregate::PathAggregate;
 use crate::forest::RcForest;
-use crate::queries::cpt::CompressedPathTree;
 use crate::types::Vertex;
 use rayon::prelude::*;
-use std::collections::HashMap;
+use rc_parlay::NONE_U32;
 
 impl<P: PathAggregate> RcForest<P> {
     /// For each pair `(u, v)`, the path-monoid aggregate of the `u..v`
@@ -27,112 +31,108 @@ impl<P: PathAggregate> RcForest<P> {
         }
         let mut terms = Vec::with_capacity(pairs.len() * 2);
         for &(u, v) in pairs {
-            if (u as usize) < self.n && (v as usize) < self.n {
+            if self.in_range(u) && self.in_range(v) {
                 terms.push(u);
                 terms.push(v);
             }
         }
-        let cpt = self.compressed_path_tree(&terms);
-        let solver = StaticPathSolver::<P>::build(&cpt);
+        let sweep = self.marked_sweep(terms.iter().copied());
+        let tree = self.slot_tree(&sweep, &terms);
+        let solver = Lifting::<P>::build(tree.slots.len(), &tree.edges);
+        let at = |x: Vertex| tree.pos[sweep.slot(x) as usize];
         pairs
             .par_iter()
             .map(|&(u, v)| {
-                if u as usize >= self.n || v as usize >= self.n {
+                if !self.in_range(u) || !self.in_range(v) {
                     return None;
                 }
                 if u == v {
                     return Some(P::path_identity());
                 }
-                solver.query(u, v)
+                solver.query(at(u), at(v))
             })
             .collect()
     }
 }
 
-/// Offline static path-aggregate solver over a small tree: rooting by
-/// BFS + binary lifting carrying the aggregate toward each ancestor.
-pub(crate) struct StaticPathSolver<P: PathAggregate> {
-    index: HashMap<Vertex, u32>,
+/// Offline static path aggregates over a small forest on vertices
+/// `0..n`: BFS rooting per component, then binary lifting carrying the
+/// aggregate toward each ancestor, in flat level-major tables.
+struct Lifting<P: PathAggregate> {
+    n: usize,
     depth: Vec<u32>,
+    /// BFS root of each vertex's component.
     comp: Vec<u32>,
-    /// `up[j][x]` = 2^j-th ancestor (self when past the root).
-    up: Vec<Vec<u32>>,
-    /// `agg[j][x]` = aggregate from x up to (excluding) `up[j][x]`.
-    agg: Vec<Vec<P::PathVal>>,
+    /// `up[j * n + x]` = 2^j-th ancestor of `x` (the root past the root).
+    up: Vec<u32>,
+    /// `agg[j * n + x]` = aggregate from `x` up to `up[j * n + x]`.
+    agg: Vec<P::PathVal>,
 }
 
-impl<P: PathAggregate> StaticPathSolver<P> {
-    pub(crate) fn build(cpt: &CompressedPathTree<P>) -> Self {
-        let n = cpt.vertices.len();
-        let mut index = HashMap::with_capacity(n * 2);
-        for (i, &v) in cpt.vertices.iter().enumerate() {
-            index.insert(v, i as u32);
+impl<P: PathAggregate> Lifting<P> {
+    fn build(n: usize, edges: &[(u32, u32, P::PathVal)]) -> Self {
+        // CSR adjacency of (neighbor, edge id).
+        let mut off = vec![0u32; n + 1];
+        for &(a, b, _) in edges {
+            off[a as usize + 1] += 1;
+            off[b as usize + 1] += 1;
         }
-        let mut adj: Vec<Vec<(u32, P::PathVal)>> = vec![Vec::new(); n];
-        for (a, b, w) in &cpt.edges {
-            let (ia, ib) = (index[a], index[b]);
-            adj[ia as usize].push((ib, w.clone()));
-            adj[ib as usize].push((ia, w.clone()));
+        for x in 0..n {
+            off[x + 1] += off[x];
         }
-        // BFS rooting per component.
-        let mut parent = vec![u32::MAX; n];
-        let mut pw: Vec<P::PathVal> = vec![P::path_identity(); n];
+        let mut nbr = vec![(0u32, 0u32); 2 * edges.len()];
+        let mut fill = off[..n].to_vec();
+        for (i, &(a, b, _)) in edges.iter().enumerate() {
+            nbr[fill[a as usize] as usize] = (b, i as u32);
+            fill[a as usize] += 1;
+            nbr[fill[b as usize] as usize] = (a, i as u32);
+            fill[b as usize] += 1;
+        }
+        // BFS rooting per component; `order` doubles as the queue.
+        let mut up = vec![NONE_U32; n];
+        let mut agg: Vec<P::PathVal> = vec![P::path_identity(); n];
         let mut depth = vec![0u32; n];
-        let mut comp = vec![u32::MAX; n];
+        let mut comp = vec![NONE_U32; n];
         let mut order: Vec<u32> = Vec::with_capacity(n);
-        for s in 0..n as u32 {
-            if comp[s as usize] != u32::MAX {
+        for r in 0..n as u32 {
+            if comp[r as usize] != NONE_U32 {
                 continue;
             }
-            comp[s as usize] = s;
-            parent[s as usize] = s;
-            order.push(s);
-            let mut q = std::collections::VecDeque::from([s]);
-            while let Some(x) = q.pop_front() {
-                for (y, w) in adj[x as usize].clone() {
-                    if comp[y as usize] == u32::MAX {
-                        comp[y as usize] = s;
-                        parent[y as usize] = x;
-                        pw[y as usize] = w;
+            comp[r as usize] = r;
+            up[r as usize] = r;
+            let mut head = order.len();
+            order.push(r);
+            while head < order.len() {
+                let x = order[head];
+                head += 1;
+                for &(y, e) in &nbr[off[x as usize] as usize..off[x as usize + 1] as usize] {
+                    if comp[y as usize] == NONE_U32 {
+                        comp[y as usize] = r;
+                        up[y as usize] = x;
+                        agg[y as usize] = edges[e as usize].2.clone();
                         depth[y as usize] = depth[x as usize] + 1;
                         order.push(y);
-                        q.push_back(y);
                     }
                 }
             }
         }
-        // Lifting tables.
-        let maxd = depth.iter().copied().max().unwrap_or(0).max(1);
-        let levels = (32 - maxd.leading_zeros()) as usize + 1;
-        let mut up: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        let mut agg: Vec<Vec<P::PathVal>> = Vec::with_capacity(levels);
-        up.push(parent);
-        agg.push(pw);
+        // Level j from level j - 1; roots point at themselves with the
+        // identity, so lifts past a root are no-ops.
+        let max_depth = depth.iter().copied().max().unwrap_or(0);
+        let levels = (u32::BITS - max_depth.leading_zeros()).max(1) as usize;
+        up.reserve((levels - 1) * n);
+        agg.reserve((levels - 1) * n);
         for j in 1..levels {
-            let (uj, aj): (Vec<u32>, Vec<P::PathVal>) = (0..n)
-                .map(|x| {
-                    let h = up[j - 1][x];
-                    (
-                        up[j - 1][h as usize],
-                        P::path_combine(&agg[j - 1][x], &agg[j - 1][h as usize]),
-                    )
-                })
-                .unzip();
-            up.push(uj);
-            agg.push(aj);
-        }
-        // The root's self-loop aggregates must be identities so lifts past
-        // the root are no-ops.
-        for agg_level in agg.iter_mut() {
+            let prev = (j - 1) * n;
             for x in 0..n {
-                if up[0][x] == x as u32 {
-                    // roots: ensure identity at all levels
-                    agg_level[x] = P::path_identity();
-                }
+                let h = up[prev + x] as usize;
+                up.push(up[prev + h]);
+                let a = P::path_combine(&agg[prev + x], &agg[prev + h]);
+                agg.push(a);
             }
         }
-        StaticPathSolver {
-            index,
+        Lifting {
+            n,
             depth,
             comp,
             up,
@@ -140,14 +140,16 @@ impl<P: PathAggregate> StaticPathSolver<P> {
         }
     }
 
-    pub(crate) fn query(&self, u: Vertex, v: Vertex) -> Option<P::PathVal> {
-        let mut x = *self.index.get(&u)?;
-        let mut y = *self.index.get(&v)?;
+    /// Aggregate of the path between vertices `x` and `y`; `None` when
+    /// they lie in different components.
+    fn query(&self, mut x: u32, mut y: u32) -> Option<P::PathVal> {
         if self.comp[x as usize] != self.comp[y as usize] {
             return None;
         }
+        let n = self.n;
+        let at = |j: usize, x: u32| j * n + x as usize;
         let mut acc = P::path_identity();
-        // Lift to equal depth.
+        // Lift the deeper endpoint to equal depth.
         if self.depth[x as usize] < self.depth[y as usize] {
             std::mem::swap(&mut x, &mut y);
         }
@@ -155,8 +157,8 @@ impl<P: PathAggregate> StaticPathSolver<P> {
         let mut j = 0;
         while delta > 0 {
             if delta & 1 == 1 {
-                acc = P::path_combine(&acc, &self.agg[j][x as usize]);
-                x = self.up[j][x as usize];
+                acc = P::path_combine(&acc, &self.agg[at(j, x)]);
+                x = self.up[at(j, x)];
             }
             delta >>= 1;
             j += 1;
@@ -164,18 +166,17 @@ impl<P: PathAggregate> StaticPathSolver<P> {
         if x == y {
             return Some(acc);
         }
-        // Lift both to just below the LCA.
-        for j in (0..self.up.len()).rev() {
-            if self.up[j][x as usize] != self.up[j][y as usize] {
-                acc = P::path_combine(&acc, &self.agg[j][x as usize]);
-                acc = P::path_combine(&acc, &self.agg[j][y as usize]);
-                x = self.up[j][x as usize];
-                y = self.up[j][y as usize];
+        // Lift both to just below their LCA.
+        for j in (0..self.up.len() / n).rev() {
+            if self.up[at(j, x)] != self.up[at(j, y)] {
+                acc = P::path_combine(&acc, &self.agg[at(j, x)]);
+                acc = P::path_combine(&acc, &self.agg[at(j, y)]);
+                x = self.up[at(j, x)];
+                y = self.up[at(j, y)];
             }
         }
-        acc = P::path_combine(&acc, &self.agg[0][x as usize]);
-        acc = P::path_combine(&acc, &self.agg[0][y as usize]);
-        Some(acc)
+        acc = P::path_combine(&acc, &self.agg[at(0, x)]);
+        Some(P::path_combine(&acc, &self.agg[at(0, y)]))
     }
 }
 

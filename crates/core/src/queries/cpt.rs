@@ -6,13 +6,16 @@
 //! pair of nodes is maintained in the compressed tree").
 //!
 //! Construction is one [`bottom_up`](crate::MarkedSweep::bottom_up)
-//! visitor over the marked sweep. Each marked cluster summarizes its
-//! terminals' partial Steiner tree by at most two *exposures* — the
-//! nearest structure node toward each boundary with the exact path
-//! aggregate from that boundary. Junctions materialize eagerly (possibly
-//! as provisional degree-2 nodes); a final compaction removes non-terminal
-//! leaves and splices non-terminal degree-2 nodes, combining edge
-//! aggregates — which keeps every pairwise aggregate exact.
+//! visitor over the marked sweep of the terminals. Each marked cluster
+//! summarizes its terminals' partial Steiner tree by at most two
+//! *exposures* — the nearest structure node toward each boundary with the
+//! exact path aggregate from that boundary. Junctions materialize eagerly
+//! (possibly as provisional degree-2 nodes), so every structure node is
+//! the representative of a marked cluster and everything is indexed by
+//! sweep slot: a per-slot terminal bitmap, and flat degree and CSR
+//! adjacency arrays for the final compaction, which prunes non-terminal
+//! leaves and then splices chains of non-terminal degree-2 nodes,
+//! combining edge aggregates — which keeps every pairwise aggregate exact.
 //! `O(k log(1 + n/k))` expected work, `O(k)` output.
 //!
 //! Out-of-range terminals are ignored — the compressed tree is a set
@@ -22,303 +25,300 @@
 
 use crate::aggregate::PathAggregate;
 use crate::forest::RcForest;
-use crate::types::{ClusterId, ClusterKind, Vertex};
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::queries::engine::MarkedSweep;
+use crate::types::{ClusterId, ClusterKind, Vertex, MAX_DEGREE, NO_VERTEX};
+use rc_parlay::NONE_U32;
+use std::collections::{HashMap, VecDeque};
 
 /// A tree over `O(k)` vertices preserving pairwise path aggregates
 /// between the `terminals` of the original forest.
 #[derive(Clone, Debug)]
 pub struct CompressedPathTree<P: PathAggregate> {
-    /// Original vertex ids present in the compressed tree.
+    /// Original vertex ids present in the compressed tree, ascending.
     pub vertices: Vec<Vertex>,
-    /// Edges carrying the aggregate of the original path they contract.
+    /// Edges `(a, b, aggregate)` with `a < b`, sorted, each carrying the
+    /// aggregate of the original path it contracts.
     pub edges: Vec<(Vertex, Vertex, P::PathVal)>,
 }
 
-/// Exposure of a partial Steiner structure toward a boundary: the nearest
-/// structure node and the exact aggregate from the boundary to it.
-type Expose<T> = Option<(Vertex, T)>;
+/// The compressed path tree over sweep slots.
+pub(crate) struct SlotTree<T> {
+    /// Sweep slots of the tree's vertices, ascending.
+    pub(crate) slots: Vec<u32>,
+    /// Edges between positions in `slots`, each carrying the aggregate of
+    /// the original path it contracts.
+    pub(crate) edges: Vec<(u32, u32, T)>,
+    /// Position in `slots` of every sweep slot (`NONE_U32` when absent).
+    pub(crate) pos: Vec<u32>,
+}
 
-#[derive(Clone)]
-enum Partial<T> {
-    Empty,
-    /// Exposures aligned with the cluster's sorted boundary array
-    /// (unary clusters use slot 0 only).
-    Has([Expose<T>; 2]),
+/// Exposure of a partial Steiner structure toward a boundary: the slot of
+/// the nearest structure node and the exact aggregate from the boundary
+/// to it.
+type Expose<T> = Option<(u32, T)>;
+
+/// A marked cluster's exposures, each tagged with the boundary vertex it
+/// is measured from, so a parent picks a child's exposure toward a vertex
+/// without reading the child cluster.
+type Exposures<T> = [(Vertex, Expose<T>); 2];
+
+/// The exposure of `exp` measured from boundary `b`.
+fn toward<T: Clone>(exp: Option<&Exposures<T>>, b: Vertex) -> Expose<T> {
+    exp?.iter().find(|(t, _)| *t == b)?.1.clone()
 }
 
 impl<P: PathAggregate> RcForest<P> {
     /// Build the compressed path tree of `terminals` (duplicates allowed).
     pub fn compressed_path_tree(&self, terminals: &[Vertex]) -> CompressedPathTree<P> {
-        let term_set: HashSet<Vertex> = terminals
-            .iter()
-            .copied()
-            .filter(|&v| (v as usize) < self.n)
+        let sweep = self.marked_sweep(terminals.iter().copied());
+        let tree = self.slot_tree(&sweep, terminals);
+        let rep = |i: u32| sweep.rep(tree.slots[i as usize]);
+        let mut vertices: Vec<Vertex> = tree.slots.iter().map(|&s| sweep.rep(s)).collect();
+        vertices.sort_unstable();
+        let mut edges: Vec<(Vertex, Vertex, P::PathVal)> = tree
+            .edges
+            .into_iter()
+            .map(|(a, b, w)| {
+                let (a, b) = (rep(a), rep(b));
+                (a.min(b), a.max(b), w)
+            })
             .collect();
-        if term_set.is_empty() {
-            return CompressedPathTree {
-                vertices: Vec::new(),
-                edges: Vec::new(),
-            };
+        edges.sort_unstable_by_key(|e| (e.0, e.1));
+        CompressedPathTree { vertices, edges }
+    }
+
+    /// The compressed path tree of `terminals` over `sweep`, which must
+    /// have been marked from (at least) the in-range terminals.
+    pub(crate) fn slot_tree(
+        &self,
+        sweep: &MarkedSweep<'_, P>,
+        terminals: &[Vertex],
+    ) -> SlotTree<P::PathVal> {
+        let mut is_term = vec![false; sweep.len()];
+        for &t in terminals {
+            if let Some(s) = sweep.try_slot(t) {
+                is_term[s as usize] = true;
+            }
         }
-        let sweep = self.marked_sweep(term_set.iter().copied());
-        let mut emitted: Vec<(Vertex, Vertex, P::PathVal)> = Vec::new();
+        let emitted = self.steiner_edges(sweep, &is_term);
+        compact::<P>(&is_term, emitted)
+    }
 
-        // Exposure of a *child* cluster of `v`'s contraction toward a
-        // given vertex (v or the far boundary).
-        let expose_of = |partial: &[Partial<P::PathVal>],
-                         child: ClusterId,
-                         toward: Vertex|
-         -> Expose<P::PathVal> {
-            if !child.is_vertex() {
-                return None; // base edges hold no terminals
-            }
-            let w = child.as_vertex();
-            let slot = sweep.try_slot(w)?;
-            match &partial[slot as usize] {
-                Partial::Empty => None,
-                Partial::Has(exp) => {
-                    let c = self.cluster(w);
-                    if c.kind == ClusterKind::Unary {
-                        exp[0].clone()
-                    } else {
-                        let i = if c.boundary[0] == toward { 0 } else { 1 };
-                        debug_assert_eq!(c.boundary[i], toward);
-                        exp[i].clone()
-                    }
+    /// The bottom-up pass: summarizes each marked cluster by its
+    /// exposures and returns the junction edges it materializes.
+    fn steiner_edges(
+        &self,
+        sweep: &MarkedSweep<'_, P>,
+        is_term: &[bool],
+    ) -> Vec<(u32, u32, P::PathVal)> {
+        let mut emitted: Vec<(u32, u32, P::PathVal)> = Vec::new();
+        let empty: Exposures<P::PathVal> = [(NO_VERTEX, None), (NO_VERTEX, None)];
+        sweep.bottom_up(empty.clone(), |s, partial| {
+            let v = sweep.rep(s);
+            let c = self.cluster(v);
+            // Exposures of a child cluster; base edges and unmarked
+            // children hold no terminals.
+            let exp_of = |child: ClusterId| {
+                if !child.is_vertex() {
+                    return None;
+                }
+                Some(&partial[sweep.try_slot(child.as_vertex())? as usize])
+            };
+            let path_of = |child: ClusterId| self.agg_of(child).cluster_path();
+            let [b0, b1] = c.boundary;
+
+            // Parts attached directly at v: rake children + v itself.
+            let mut parts: [Expose<P::PathVal>; MAX_DEGREE + 1] = std::array::from_fn(|_| None);
+            let mut np = 0;
+            for rk in c.rake_children.iter() {
+                if let Some(p) = toward(exp_of(rk), v) {
+                    parts[np] = Some(p);
+                    np += 1;
                 }
             }
-        };
-
-        // Bottom-up visitor over the marked sweep; emits junction edges as
-        // a side effect and summarizes each cluster by its exposures.
-        sweep.bottom_up(Partial::Empty, |s, partial| {
-            {
-                let v = sweep.rep(s);
-                let c = self.cluster(v);
-                // Parts attached directly at v: rake children + v itself.
-                let mut parts: Vec<(Vertex, P::PathVal)> = Vec::new();
-                for rk in c.rake_children.iter() {
-                    if let Some(p) = expose_of(partial, rk, v) {
-                        parts.push(p);
+            if is_term[s as usize] {
+                parts[np] = Some((s, P::path_identity()));
+                np += 1;
+            }
+            // Every part except v itself becomes an edge at junction v.
+            let mut emit_parts = |emitted: &mut Vec<_>| {
+                for (t, d) in parts.iter_mut().filter_map(Option::take) {
+                    if t != s {
+                        emitted.push((s, t, d));
                     }
                 }
-                if term_set.contains(&v) {
-                    parts.push((v, P::path_identity()));
-                }
+            };
 
-                let result = match c.kind {
-                    ClusterKind::Unary => {
-                        let e = c.bin_children[0];
-                        let path_e = self.agg_of(e).cluster_path();
-                        let e_near = expose_of(partial, e, v);
-                        let e_far = expose_of(partial, e, c.boundary[0]);
-                        let dirs = parts.len() + usize::from(e_near.is_some());
-                        match dirs {
-                            0 => Partial::Empty,
-                            1 => {
-                                if e_near.is_some() {
-                                    Partial::Has([e_far, None])
-                                } else {
-                                    let (t, d) = parts.pop().unwrap();
-                                    Partial::Has([Some((t, P::path_combine(&path_e, &d))), None])
-                                }
-                            }
-                            _ => {
-                                for (t, d) in parts {
-                                    if t != v {
-                                        emitted.push((v, t, d));
-                                    }
-                                }
-                                if let Some((te, de)) = e_near {
-                                    emitted.push((v, te, de));
-                                    Partial::Has([e_far, None])
-                                } else {
-                                    Partial::Has([Some((v, path_e)), None])
-                                }
+            match c.kind {
+                ClusterKind::Unary => {
+                    let e = c.bin_children[0];
+                    let ex = exp_of(e);
+                    let e_near = toward(ex, v);
+                    let out = match np + usize::from(e_near.is_some()) {
+                        0 => None,
+                        1 => match parts[0].take() {
+                            Some((t, d)) => Some((t, P::path_combine(&path_of(e), &d))),
+                            None => toward(ex, b0),
+                        },
+                        _ => {
+                            emit_parts(&mut emitted);
+                            if let Some((te, de)) = e_near {
+                                emitted.push((s, te, de));
+                                toward(ex, b0)
+                            } else {
+                                Some((s, path_of(e)))
                             }
                         }
-                    }
-                    ClusterKind::Binary => {
-                        let (l, r) = (c.bin_children[0], c.bin_children[1]);
-                        let path_l = self.agg_of(l).cluster_path();
-                        let path_r = self.agg_of(r).cluster_path();
-                        let l_near = expose_of(partial, l, v);
-                        let l_far = expose_of(partial, l, c.boundary[0]);
-                        let r_near = expose_of(partial, r, v);
-                        let r_far = expose_of(partial, r, c.boundary[1]);
-                        let dirs = parts.len()
-                            + usize::from(l_near.is_some())
-                            + usize::from(r_near.is_some());
-                        match dirs {
-                            0 => Partial::Empty,
-                            1 => {
-                                if let Some((tl, dl)) = l_near {
-                                    Partial::Has([l_far, Some((tl, P::path_combine(&path_r, &dl)))])
-                                } else if let Some((tr, dr)) = r_near {
-                                    Partial::Has([Some((tr, P::path_combine(&path_l, &dr))), r_far])
-                                } else {
-                                    let (t, d) = parts.pop().unwrap();
-                                    if t != v {
-                                        emitted.push((v, t, d));
-                                    }
-                                    Partial::Has([
-                                        Some((v, path_l.clone())),
-                                        Some((v, path_r.clone())),
-                                    ])
-                                }
-                            }
+                    };
+                    [(b0, out), (NO_VERTEX, None)]
+                }
+                ClusterKind::Binary => {
+                    let (l, r) = (c.bin_children[0], c.bin_children[1]);
+                    let (lx, rx) = (exp_of(l), exp_of(r));
+                    let l_near = toward(lx, v);
+                    let r_near = toward(rx, v);
+                    let (e0, e1) =
+                        match np + usize::from(l_near.is_some()) + usize::from(r_near.is_some()) {
+                            0 => (None, None),
+                            1 if np == 0 => match (l_near, r_near) {
+                                (Some((tl, dl)), _) => (
+                                    toward(lx, b0),
+                                    Some((tl, P::path_combine(&path_of(r), &dl))),
+                                ),
+                                (_, Some((tr, dr))) => (
+                                    Some((tr, P::path_combine(&path_of(l), &dr))),
+                                    toward(rx, b1),
+                                ),
+                                (None, None) => unreachable!("one direction"),
+                            },
+                            // Two or more directions, or one part alone:
+                            // v becomes a structure node.
                             _ => {
-                                for (t, d) in parts {
-                                    if t != v {
-                                        emitted.push((v, t, d));
-                                    }
-                                }
+                                emit_parts(&mut emitted);
                                 let e0 = if let Some((tl, dl)) = l_near {
-                                    emitted.push((v, tl, dl));
-                                    l_far
+                                    emitted.push((s, tl, dl));
+                                    toward(lx, b0)
                                 } else {
-                                    Some((v, path_l.clone()))
+                                    Some((s, path_of(l)))
                                 };
                                 let e1 = if let Some((tr, dr)) = r_near {
-                                    emitted.push((v, tr, dr));
-                                    r_far
+                                    emitted.push((s, tr, dr));
+                                    toward(rx, b1)
                                 } else {
-                                    Some((v, path_r.clone()))
+                                    Some((s, path_of(r)))
                                 };
-                                Partial::Has([e0, e1])
+                                (e0, e1)
                             }
-                        }
+                        };
+                    [(b0, e0), (b1, e1)]
+                }
+                ClusterKind::Nullary => {
+                    // With 0 or 1 directions the structure is complete.
+                    if np >= 2 {
+                        emit_parts(&mut emitted);
                     }
-                    ClusterKind::Nullary => {
-                        if parts.len() >= 2 {
-                            for (t, d) in parts {
-                                emitted.push((v, t, d));
-                            }
-                            Partial::Has([Some((v, P::path_identity())), None])
-                        } else {
-                            // 0 or 1 directions: structure already complete.
-                            Partial::Empty
-                        }
-                    }
-                    ClusterKind::Invalid => unreachable!(),
-                };
-                result
+                    empty.clone()
+                }
+                ClusterKind::Invalid => unreachable!(),
             }
         });
-
-        compact::<P>(emitted, &term_set)
+        emitted
     }
 }
 
-/// Remove non-terminal leaves and splice non-terminal degree-2 vertices,
-/// combining the aggregates of merged edges.
+/// Remove non-terminal leaves, then splice chains of non-terminal
+/// degree-2 vertices into single edges, combining their aggregates.
+/// Vertices are sweep slots; `is_term` is the per-slot terminal bitmap.
 fn compact<P: PathAggregate>(
-    emitted: Vec<(Vertex, Vertex, P::PathVal)>,
-    terminals: &HashSet<Vertex>,
-) -> CompressedPathTree<P> {
-    #[derive(Clone)]
-    struct E<T> {
-        a: Vertex,
-        b: Vertex,
-        w: T,
-        alive: bool,
+    is_term: &[bool],
+    edges: Vec<(u32, u32, P::PathVal)>,
+) -> SlotTree<P::PathVal> {
+    let m = is_term.len();
+    // Live degree and CSR adjacency (edge ids) per slot.
+    let mut deg = vec![0u32; m];
+    for &(a, b, _) in &edges {
+        deg[a as usize] += 1;
+        deg[b as usize] += 1;
     }
-    let mut edges: Vec<E<P::PathVal>> = emitted
-        .into_iter()
-        .map(|(a, b, w)| E {
-            a,
-            b,
-            w,
-            alive: true,
-        })
-        .collect();
-    let mut adj: HashMap<Vertex, Vec<usize>> = HashMap::new();
-    for (i, e) in edges.iter().enumerate() {
-        adj.entry(e.a).or_default().push(i);
-        adj.entry(e.b).or_default().push(i);
+    let mut off = vec![0u32; m + 1];
+    for x in 0..m {
+        off[x + 1] = off[x] + deg[x];
     }
-    for &t in terminals {
-        adj.entry(t).or_default();
+    let mut adj = vec![0u32; off[m] as usize];
+    let mut fill = off[..m].to_vec();
+    for (i, &(a, b, _)) in edges.iter().enumerate() {
+        for x in [a, b] {
+            adj[fill[x as usize] as usize] = i as u32;
+            fill[x as usize] += 1;
+        }
     }
-    let live_deg = |adj: &HashMap<Vertex, Vec<usize>>, edges: &Vec<E<P::PathVal>>, v: Vertex| {
-        adj.get(&v)
-            .map_or(0, |es| es.iter().filter(|&&i| edges[i].alive).count())
+    let incident = |x: u32| &adj[off[x as usize] as usize..off[x as usize + 1] as usize];
+    let other = |e: u32, x: u32| {
+        let (a, b, _) = &edges[e as usize];
+        if *a == x {
+            *b
+        } else {
+            *a
+        }
     };
-    let mut queue: VecDeque<Vertex> = adj
-        .keys()
-        .copied()
-        .filter(|v| !terminals.contains(v))
+    let mut alive = vec![true; edges.len()];
+
+    // Prune: a non-terminal leaf's edge dies, which may expose another.
+    let mut leaves: Vec<u32> = (0..m as u32)
+        .filter(|&x| !is_term[x as usize] && deg[x as usize] == 1)
         .collect();
-    let mut removed: HashSet<Vertex> = HashSet::new();
-    while let Some(x) = queue.pop_front() {
-        if terminals.contains(&x) || removed.contains(&x) {
-            continue;
+    while let Some(x) = leaves.pop() {
+        if deg[x as usize] != 1 {
+            continue; // its last edge went with the neighbor's pruning
         }
-        let live: Vec<usize> = adj
-            .get(&x)
-            .map(|es| es.iter().copied().filter(|&i| edges[i].alive).collect())
-            .unwrap_or_default();
-        match live.len() {
-            0 => {
-                removed.insert(x);
-            }
-            1 => {
-                let i = live[0];
-                edges[i].alive = false;
-                removed.insert(x);
-                let other = if edges[i].a == x {
-                    edges[i].b
-                } else {
-                    edges[i].a
-                };
-                queue.push_back(other);
-            }
-            2 => {
-                let (i, j) = (live[0], live[1]);
-                let a = if edges[i].a == x {
-                    edges[i].b
-                } else {
-                    edges[i].a
-                };
-                let b = if edges[j].a == x {
-                    edges[j].b
-                } else {
-                    edges[j].a
-                };
-                let w = P::path_combine(&edges[i].w, &edges[j].w);
-                edges[i].alive = false;
-                edges[j].alive = false;
-                removed.insert(x);
-                let k = edges.len();
-                edges.push(E {
-                    a,
-                    b,
-                    w,
-                    alive: true,
-                });
-                adj.entry(a).or_default().push(k);
-                adj.entry(b).or_default().push(k);
-            }
-            _ => {} // genuine Steiner branch point: keep
+        let e = *incident(x)
+            .iter()
+            .find(|&&e| alive[e as usize])
+            .expect("live edge");
+        alive[e as usize] = false;
+        deg[x as usize] = 0;
+        let y = other(e, x);
+        deg[y as usize] -= 1;
+        if !is_term[y as usize] && deg[y as usize] == 1 {
+            leaves.push(y);
         }
     }
-    let out_edges: Vec<(Vertex, Vertex, P::PathVal)> = edges
-        .iter()
-        .filter(|e| e.alive)
-        .map(|e| (e.a, e.b, e.w.clone()))
-        .collect();
-    let mut verts: HashSet<Vertex> = terminals.iter().copied().collect();
-    for (a, b, _) in &out_edges {
-        verts.insert(*a);
-        verts.insert(*b);
+
+    // Splice: every surviving non-terminal has degree 0 (dropped), 2
+    // (spliced) or ≥ 3 (kept as a Steiner branch point). Walk each chain
+    // from a kept end, consuming its edges, to the kept vertex beyond.
+    let keep = |x: u32| is_term[x as usize] || deg[x as usize] >= 3;
+    let mut pos = vec![NONE_U32; m];
+    let mut slots = Vec::new();
+    for x in (0..m as u32).filter(|&x| keep(x)) {
+        pos[x as usize] = slots.len() as u32;
+        slots.push(x);
     }
-    let mut vertices: Vec<Vertex> = verts.into_iter().collect();
-    vertices.sort_unstable();
-    let _ = live_deg;
-    CompressedPathTree {
-        vertices,
-        edges: out_edges,
+    let mut out = Vec::with_capacity(slots.len());
+    for &x in &slots {
+        for &e in incident(x) {
+            if !alive[e as usize] {
+                continue;
+            }
+            alive[e as usize] = false;
+            let mut w = edges[e as usize].2.clone();
+            let mut at = other(e, x);
+            while !keep(at) {
+                let f = *incident(at)
+                    .iter()
+                    .find(|&&f| alive[f as usize])
+                    .expect("chain continues");
+                alive[f as usize] = false;
+                w = P::path_combine(&w, &edges[f as usize].2);
+                at = other(f, at);
+            }
+            out.push((pos[x as usize], pos[at as usize], w));
+        }
+    }
+    SlotTree {
+        slots,
+        edges: out,
+        pos,
     }
 }
 

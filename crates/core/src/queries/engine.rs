@@ -17,9 +17,11 @@
 //! family is just a visitor plus an assembly step — and future query kinds
 //! (diameter, centroid, heavy-path decompositions) are small visitors
 //! instead of new modules of scaffolding. The compact subtree storage
-//! (slot map, CSR children and round buckets) lives in a `QueryScratch`
-//! checked out of a per-forest pool, so steady-state batch queries reuse
-//! the same arenas instead of re-allocating and re-hashing per call.
+//! (slot map, parent and round per slot, CSR round buckets) lives in a
+//! `QueryScratch` checked out of a per-forest pool, so steady-state batch
+//! queries reuse the same arenas instead of re-allocating per call.
+//! Kernels keep their own per-call state in flat arrays indexed by slot;
+//! each batch call makes exactly one sweep.
 
 use crate::aggregate::ClusterAggregate;
 use crate::forest::RcForest;
@@ -42,19 +44,13 @@ pub(crate) struct QueryScratch {
     parent: Vec<u32>,
     /// Contraction round per slot.
     round: Vec<u32>,
-    /// Slots of root clusters.
-    roots: Vec<u32>,
-    /// CSR children: slot `s`'s children are
-    /// `child_dat[child_off[s]..child_off[s + 1]]`.
-    child_off: Vec<u32>,
-    child_dat: Vec<u32>,
     /// CSR round buckets: round `r`'s slots are
     /// `bucket_dat[bucket_off[r]..bucket_off[r + 1]]`.
     bucket_off: Vec<u32>,
     bucket_dat: Vec<u32>,
     /// Start-vertex staging buffer.
     starts: Vec<Vertex>,
-    /// Scatter-cursor staging buffer for the CSR builds.
+    /// Scatter-cursor staging buffer for the bucket build.
     cursor: Vec<u32>,
 }
 
@@ -158,8 +154,8 @@ impl<A: ClusterAggregate> RcForest<A> {
         }
     }
 
-    /// Step 3 prep: build the compact slot map, parents, CSR children and
-    /// CSR round buckets over the marked nodes.
+    /// Step 3 prep: build the compact slot map, parents and CSR round
+    /// buckets over the marked nodes.
     fn index_marked(&self, scratch: &mut QueryScratch) {
         // The slot map is allocated once per forest and cleared sparsely.
         if scratch.slot_of.len() < self.n {
@@ -186,7 +182,6 @@ impl<A: ClusterAggregate> RcForest<A> {
         }
         scratch.parent.clear();
         scratch.round.clear();
-        scratch.roots.clear();
         let mut max_round = 0;
         for &v in scratch.nodes.iter() {
             let c = &self.clusters[v as usize];
@@ -198,44 +193,6 @@ impl<A: ClusterAggregate> RcForest<A> {
                 scratch
                     .parent
                     .push(scratch.slot_of[c.parent.as_vertex() as usize]);
-            }
-        }
-        for (i, &p) in scratch.parent.iter().enumerate() {
-            if p == NONE_U32 {
-                scratch.roots.push(i as u32);
-            }
-        }
-        // CSR children: count, prefix-sum, scatter (cursor = offsets copy).
-        scratch.child_off.clear();
-        scratch.child_off.resize(len + 1, 0);
-        for &p in &scratch.parent {
-            if p != NONE_U32 {
-                scratch.child_off[p as usize + 1] += 1;
-            }
-        }
-        for i in 0..len {
-            scratch.child_off[i + 1] += scratch.child_off[i];
-        }
-        scratch.child_dat.clear();
-        scratch
-            .child_dat
-            .resize(len.saturating_sub(scratch.roots.len()), 0);
-        {
-            let QueryScratch {
-                cursor,
-                child_off,
-                child_dat,
-                parent,
-                ..
-            } = scratch;
-            cursor.clear();
-            cursor.extend_from_slice(&child_off[..len]);
-            for (i, &p) in parent.iter().enumerate() {
-                if p != NONE_U32 {
-                    let at = cursor[p as usize];
-                    child_dat[at as usize] = i as u32;
-                    cursor[p as usize] += 1;
-                }
             }
         }
         // CSR round buckets.
@@ -326,18 +283,6 @@ impl<'f, A: ClusterAggregate> MarkedSweep<'f, A> {
     #[inline]
     pub fn round(&self, slot: u32) -> u32 {
         self.scratch.round[slot as usize]
-    }
-
-    /// Child slots of `slot`.
-    pub fn children(&self, slot: u32) -> &[u32] {
-        let lo = self.scratch.child_off[slot as usize] as usize;
-        let hi = self.scratch.child_off[slot as usize + 1] as usize;
-        &self.scratch.child_dat[lo..hi]
-    }
-
-    /// Slots of root clusters.
-    pub fn roots(&self) -> &[u32] {
-        &self.scratch.roots
     }
 
     /// Slots of round `r` (ascending rounds = bottom-up order).
@@ -483,6 +428,8 @@ impl<T: Send + Sync> SweepVals<'_, '_, T> {
 
 #[cfg(test)]
 mod tests {
+    use super::MarkedSweep;
+    use crate::aggregate::ClusterAggregate;
     use crate::aggregates::SumAgg;
     use crate::forest::{BuildOptions, RcForest};
     use crate::types::NO_VERTEX;
@@ -492,17 +439,33 @@ mod tests {
         RcForest::build_edges(n as usize, &edges, BuildOptions::default()).unwrap()
     }
 
+    /// Child lists and root slots rebuilt from `parent()`.
+    fn children_and_roots<A: ClusterAggregate>(
+        sweep: &MarkedSweep<'_, A>,
+    ) -> (Vec<Vec<u32>>, Vec<u32>) {
+        let mut children = vec![Vec::new(); sweep.len()];
+        let mut roots = Vec::new();
+        for s in 0..sweep.len() as u32 {
+            match sweep.parent(s) {
+                Some(p) => children[p as usize].push(s),
+                None => roots.push(s),
+            }
+        }
+        (children, roots)
+    }
+
     #[test]
     fn sweep_structure_is_consistent() {
         let f = path_forest(64);
         let sweep = f.marked_sweep([0u32, 13, 40, 63]);
         assert!(!sweep.is_empty());
+        let (children, roots) = children_and_roots(&sweep);
         for s in 0..sweep.len() as u32 {
             if let Some(p) = sweep.parent(s) {
                 assert!(sweep.round(p) > sweep.round(s), "parents contract later");
-                assert!(sweep.children(p).contains(&s));
+                assert!(children[p as usize].contains(&s));
             } else {
-                assert!(sweep.roots().contains(&s));
+                assert!(roots.contains(&s));
             }
             assert_eq!(sweep.slot(sweep.rep(s)), s);
         }
@@ -522,7 +485,7 @@ mod tests {
         let f = path_forest(4);
         let sweep = f.marked_sweep(std::iter::empty());
         assert!(sweep.is_empty());
-        assert!(sweep.roots().is_empty());
+        assert!(children_and_roots(&sweep).1.is_empty());
         assert!(sweep.top_down(0u32, |_, _| unreachable!()).is_empty());
     }
 
@@ -573,13 +536,14 @@ mod tests {
             scratch,
         };
         assert_eq!(sweep.len(), clean_len, "duplicates dropped");
+        let (children, _) = children_and_roots(&sweep);
         let mut seen = std::collections::HashSet::new();
         for s in 0..sweep.len() as u32 {
             assert!(seen.insert(sweep.rep(s)), "rep {} duplicated", sweep.rep(s));
             assert_eq!(sweep.slot(sweep.rep(s)), s);
             if let Some(p) = sweep.parent(s) {
                 assert_eq!(
-                    sweep.children(p).iter().filter(|&&c| c == s).count(),
+                    children[p as usize].iter().filter(|&&c| c == s).count(),
                     1,
                     "child listed once"
                 );
@@ -634,14 +598,14 @@ mod tests {
     fn bottom_up_counts_subtree_sizes() {
         let f = path_forest(50);
         let sweep = f.marked_sweep(0..50u32);
+        let (children, roots) = children_and_roots(&sweep);
         let sizes = sweep.bottom_up(0u32, |s, vals| {
-            1 + sweep
-                .children(s)
+            1 + children[s as usize]
                 .iter()
                 .map(|&c| vals[c as usize])
                 .sum::<u32>()
         });
-        let total: u32 = sweep.roots().iter().map(|&r| sizes[r as usize]).sum();
+        let total: u32 = roots.iter().map(|&r| sizes[r as usize]).sum();
         assert_eq!(total as usize, sweep.len());
     }
 }

@@ -1,28 +1,56 @@
 //! LCA queries on dynamic trees (§3.5, §5.7, supplementary A.8).
 //!
-//! The batch algorithm marks the ancestors of all query vertices, builds a
-//! static LCA structure (Euler tour + sparse table) and level-ancestor /
-//! highest-unary binary-lifting tables over the **marked subtree only**,
-//! computes the top-down `root_boundary` orientation, and answers each
-//! query by the casework of A.8:
+//! A fixed-root LCA (rooted at the component's root representative) is
+//! one synchronized ascent from the clusters of `u` and `v` to their
+//! RC-LCA `M`, remembering the arrival children, followed by the casework
+//! of A.8:
 //!
-//! * the *common boundary* `c` (representative of the RC-LCA of `U`, `V`)
-//!   is the answer unless the walk to the root departs into one of the
-//!   arrival children's cluster paths,
+//! * the *common boundary* `c = rep(M)` is the answer unless the walk to
+//!   the root departs into one of the arrival children's cluster paths,
 //! * in which case the answer is the vertex on that cluster path closest
 //!   to the query vertex — found via the highest unary ancestor.
 //!
 //! Arbitrary roots reduce to three fixed-root queries XOR-ed together
-//! (Lemma A.10). As in the paper, the table construction spends
-//! `O(k log(1+n/k) · log)` work — the Berkman–Vishkin structure exists but
-//! "has a 2^228 constant factor" (§5.7), so brute-force tables it is.
+//! (Lemma A.10).
+//!
+//! The batch algorithm makes one marked sweep over all query vertices,
+//! reads connectivity from its `root_labels` pass and each `M`'s
+//! orientation from one `root_boundary` pass, and runs every ascent over
+//! the sweep's compact parent/round slots: `O(k log n)` work, as in the
+//! paper, which also spends a log factor here instead of building the
+//! Berkman–Vishkin structure (it "has a 2^228 constant factor", §5.7).
+//! The single-query entry point makes the same ascent over the forest
+//! and orients `M` with an `O(log n)` walk to its root.
 
 use crate::aggregate::ClusterAggregate;
 use crate::forest::RcForest;
 use crate::queries::engine::MarkedSweep;
 use crate::types::{ClusterId, ClusterKind, Vertex, NO_VERTEX};
 use rayon::prelude::*;
-use rc_parlay::NONE_U32;
+
+/// Synchronized ascent from `a` and `b` to their RC-LCA, always climbing
+/// the side whose cluster contracted first. Returns `(meet, arrival child
+/// of the a-side, arrival child of the b-side)`; an arrival child is
+/// `None` when that side's start *is* the meet. `a` and `b` must lie in
+/// one RC tree.
+fn rc_meet<T: Copy + Eq>(
+    mut a: T,
+    mut b: T,
+    round: impl Fn(T) -> u32,
+    parent: impl Fn(T) -> T,
+) -> (T, Option<T>, Option<T>) {
+    let (mut arr_a, mut arr_b) = (None, None);
+    while a != b {
+        if round(a) <= round(b) {
+            arr_a = Some(a);
+            a = parent(a);
+        } else {
+            arr_b = Some(b);
+            b = parent(b);
+        }
+    }
+    (a, arr_a, arr_b)
+}
 
 impl<A: ClusterAggregate> RcForest<A> {
     /// LCA of `u` and `v` in the tree rooted at `r`; `None` when the three
@@ -57,16 +85,60 @@ impl<A: ClusterAggregate> RcForest<A> {
         if u == root || v == root {
             return root;
         }
-        // Synchronized ascent to the RC-LCA, remembering arrival children.
-        let (m, arr_u, arr_v) = self.rc_meet(u, v);
-        let c = m;
-        if c == root {
-            // The meet is the root cluster — also covers D_{u,v,r} ties.
-            return self.meet_answer(u, v, m, arr_u, arr_v, NO_VERTEX);
-        }
-        // Orientation: which boundary of M leads to the root.
-        let rb_m = self.root_boundary_single(m);
+        let (m, arr_u, arr_v) = rc_meet(
+            u,
+            v,
+            |x| self.cluster(x).round,
+            |x| {
+                let p = self.cluster(x).parent;
+                assert!(!p.is_none(), "rc_meet on disconnected vertices");
+                p.as_vertex()
+            },
+        );
+        // Orientation: which boundary of M leads to the root (none when
+        // M is the root cluster — that also covers D_{u,v,r} ties).
+        let rb_m = if m == root {
+            NO_VERTEX
+        } else {
+            self.root_boundary_single(m)
+        };
         self.meet_answer(u, v, m, arr_u, arr_v, rb_m)
+    }
+
+    /// [`Self::fixed_lca`] over a marked sweep holding `u` and `v`: the
+    /// ascent walks the sweep's compact slots and `rb` is the sweep's
+    /// [`root_boundary`](MarkedSweep::root_boundary) pass. The answer is
+    /// `u`, `v`, the RC-LCA's representative or a boundary of a marked
+    /// cluster, so it is marked too.
+    pub(crate) fn sweep_fixed_lca(
+        &self,
+        sweep: &MarkedSweep<'_, A>,
+        rb: &[Vertex],
+        u: Vertex,
+        v: Vertex,
+        root: Vertex,
+    ) -> Vertex {
+        if u == v {
+            return u;
+        }
+        if u == root || v == root {
+            return root;
+        }
+        let (sm, arr_u, arr_v) = rc_meet(
+            sweep.slot(u),
+            sweep.slot(v),
+            |s| sweep.round(s),
+            |s| sweep.parent(s).expect("rc_meet on disconnected vertices"),
+        );
+        let rep = |s: u32| sweep.rep(s);
+        self.meet_answer(
+            u,
+            v,
+            rep(sm),
+            arr_u.map(rep),
+            arr_v.map(rep),
+            rb[sm as usize],
+        )
     }
 
     /// Shared fixed-root casework, given the meet cluster rep `m`, the
@@ -144,35 +216,6 @@ impl<A: ClusterAggregate> RcForest<A> {
         far != rb_m
     }
 
-    /// Synchronized ascent from `cluster(u)` and `cluster(v)` to their
-    /// RC-LCA. Returns `(rep of meet, arrival child of u-side, arrival
-    /// child of v-side)`; an arrival child is `None` when that side's
-    /// start cluster *is* the meet.
-    fn rc_meet(&self, u: Vertex, v: Vertex) -> (Vertex, Option<Vertex>, Option<Vertex>) {
-        let mut cu = u;
-        let mut cv = v;
-        let mut au: Option<Vertex> = None;
-        let mut av: Option<Vertex> = None;
-        loop {
-            if cu == cv {
-                return (cu, au, av);
-            }
-            let ru = self.cluster(cu).round;
-            let rv = self.cluster(cv).round;
-            if ru <= rv {
-                let p = self.cluster(cu).parent;
-                assert!(!p.is_none(), "rc_meet on disconnected vertices");
-                au = Some(cu);
-                cu = p.as_vertex();
-            } else {
-                let p = self.cluster(cv).parent;
-                assert!(!p.is_none(), "rc_meet on disconnected vertices");
-                av = Some(cv);
-                cv = p.as_vertex();
-            }
-        }
-    }
-
     /// `root_boundary` of a single cluster: walk to the root collecting
     /// the chain, then orient downward (`O(log n)`).
     fn root_boundary_single(&self, m: Vertex) -> Vertex {
@@ -226,9 +269,8 @@ impl<A: ClusterAggregate> RcForest<A> {
     }
 
     /// `BatchLCA`: answer `k` arbitrary-root LCA queries `(u, v, r)`,
-    /// sharing the marked subtree, its static-LCA tables and the
-    /// orientation pass across the whole batch (§3.5). Queries naming an
-    /// out-of-range vertex answer `None`.
+    /// sharing one marked sweep and its orientation pass across the whole
+    /// batch (§3.5). Queries naming an out-of-range vertex answer `None`.
     pub fn batch_lca(&self, queries: &[(Vertex, Vertex, Vertex)]) -> Vec<Option<Vertex>> {
         if queries.is_empty() {
             return Vec::new();
@@ -237,20 +279,16 @@ impl<A: ClusterAggregate> RcForest<A> {
         if sweep.is_empty() {
             return vec![None; queries.len()];
         }
-        let tables = LcaTables::build(self, &sweep);
-
+        let labels = sweep.root_labels();
+        let rb = sweep.root_boundary();
         queries
             .par_iter()
             .map(|&(u, v, r)| {
                 if [u, v, r].iter().any(|&x| !self.in_range(x)) {
                     return None;
                 }
-                let su = sweep.slot(u);
-                let sv = sweep.slot(v);
-                let sr = sweep.slot(r);
-                let root_u = tables.root_label[su as usize];
-                if tables.root_label[sv as usize] != root_u
-                    || tables.root_label[sr as usize] != root_u
+                let root = labels[sweep.slot(u) as usize];
+                if labels[sweep.slot(v) as usize] != root || labels[sweep.slot(r) as usize] != root
                 {
                     return None;
                 }
@@ -260,267 +298,10 @@ impl<A: ClusterAggregate> RcForest<A> {
                 if v == r {
                     return Some(v);
                 }
-                let l1 = tables.fixed(self, &sweep, u, v, root_u);
-                let l2 = tables.fixed(self, &sweep, u, r, root_u);
-                let l3 = tables.fixed(self, &sweep, v, r, root_u);
-                Some(l1 ^ l2 ^ l3)
+                let fixed = |a, b| self.sweep_fixed_lca(&sweep, &rb, a, b, root);
+                Some(fixed(u, v) ^ fixed(u, r) ^ fixed(v, r))
             })
             .collect()
-    }
-}
-
-/// Static tables over the marked subtree: Euler-tour sparse-table LCA,
-/// binary lifting with highest-unary tracking, root labels & orientation.
-struct LcaTables {
-    depth: Vec<u32>,
-    root_label: Vec<Vertex>,
-    root_boundary: Vec<Vertex>,
-    /// Euler tour as (slot) sequence; `first[slot]` = first occurrence.
-    first: Vec<u32>,
-    /// Sparse table over the Euler tour of (depth, slot) minima.
-    sparse: Vec<Vec<(u32, u32)>>,
-    /// Binary lifting: `up[j][slot]` = 2^j-th marked ancestor.
-    up: Vec<Vec<u32>>,
-    /// `hu[j][slot]` = topmost (minimum-depth) unary cluster among the
-    /// window of 2^j nodes starting at `slot` going up.
-    hu: Vec<Vec<u32>>,
-}
-
-impl LcaTables {
-    fn build<A: ClusterAggregate>(f: &RcForest<A>, sweep: &MarkedSweep<'_, A>) -> Self {
-        let m = sweep.len();
-        // Depth + root labels + orientation via engine top-down passes.
-        let root_label = sweep.root_labels();
-        let root_boundary = sweep.root_boundary();
-        let depth = sweep.top_down(0u32, |s, vals| match sweep.parent(s) {
-            None => 0,
-            Some(p) => *vals.get(p) + 1,
-        });
-        // Euler tour (iterative DFS per root).
-        let mut euler: Vec<u32> = Vec::with_capacity(2 * m);
-        let mut first = vec![NONE_U32; m];
-        for &root in sweep.roots() {
-            let mut stack: Vec<(u32, usize)> = vec![(root, 0)];
-            while let Some(&mut (s, ref mut ci)) = stack.last_mut() {
-                if *ci == 0 {
-                    first[s as usize] = euler.len() as u32;
-                    euler.push(s);
-                }
-                let kids = sweep.children(s);
-                if *ci < kids.len() {
-                    let k = kids[*ci];
-                    *ci += 1;
-                    stack.push((k, 0));
-                } else {
-                    stack.pop();
-                    if let Some(&(ps, _)) = stack.last() {
-                        euler.push(ps);
-                    }
-                }
-            }
-        }
-        // Sparse table of (depth, slot) minima over the Euler tour.
-        let e = euler.len().max(1);
-        let logs = (usize::BITS - e.leading_zeros()) as usize;
-        let mut sparse: Vec<Vec<(u32, u32)>> = Vec::with_capacity(logs);
-        sparse.push(euler.iter().map(|&s| (depth[s as usize], s)).collect());
-        let mut j = 1;
-        while (1 << j) <= e {
-            let prev = &sparse[j - 1];
-            let mut row = Vec::with_capacity(e - (1 << j) + 1);
-            for i in 0..=e - (1 << j) {
-                row.push(prev[i].min(prev[i + (1 << (j - 1))]));
-            }
-            sparse.push(row);
-            j += 1;
-        }
-        // Binary lifting + highest-unary windows.
-        let maxd = depth.iter().copied().max().unwrap_or(0) as usize;
-        let levels = (usize::BITS - maxd.max(1).leading_zeros()) as usize + 1;
-        let mut up: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        let mut hu: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        up.push(
-            (0..m as u32)
-                .map(|s| sweep.parent(s).unwrap_or(NONE_U32))
-                .collect(),
-        );
-        hu.push(
-            (0..m as u32)
-                .map(|s| {
-                    if f.cluster(sweep.rep(s)).kind == ClusterKind::Unary {
-                        s
-                    } else {
-                        NONE_U32
-                    }
-                })
-                .collect(),
-        );
-        for j in 1..levels {
-            let (upj, huj): (Vec<u32>, Vec<u32>) = (0..m)
-                .map(|s| {
-                    let half = up[j - 1][s];
-                    if half == NONE_U32 {
-                        (NONE_U32, hu[j - 1][s])
-                    } else {
-                        let second = hu[j - 1][half as usize];
-                        let combined = if second != NONE_U32 {
-                            second
-                        } else {
-                            hu[j - 1][s]
-                        };
-                        (up[j - 1][half as usize], combined)
-                    }
-                })
-                .unzip();
-            up.push(upj);
-            hu.push(huj);
-        }
-        LcaTables {
-            depth,
-            root_label,
-            root_boundary,
-            first,
-            sparse,
-            up,
-            hu,
-        }
-    }
-
-    /// RC-LCA of two marked slots via the sparse table.
-    fn rc_lca(&self, a: u32, b: u32) -> u32 {
-        let (mut i, mut j) = (self.first[a as usize], self.first[b as usize]);
-        if i > j {
-            std::mem::swap(&mut i, &mut j);
-        }
-        let len = (j - i + 1) as usize;
-        let k = (usize::BITS - 1 - len.leading_zeros()) as usize;
-        let x = self.sparse[k][i as usize];
-        let y = self.sparse[k][j as usize + 1 - (1 << k)];
-        x.min(y).1
-    }
-
-    /// Marked ancestor of `s` at depth `d` (level ancestor).
-    fn level_anc(&self, mut s: u32, d: u32) -> u32 {
-        let mut delta = self.depth[s as usize] - d;
-        let mut j = 0;
-        while delta > 0 {
-            if delta & 1 == 1 {
-                s = self.up[j][s as usize];
-            }
-            delta >>= 1;
-            j += 1;
-        }
-        s
-    }
-
-    /// Topmost unary cluster on the chain `[from, to)` (`to` exclusive);
-    /// `NONE_U32` if none.
-    fn highest_unary(&self, from: u32, to: u32) -> u32 {
-        let mut steps = self.depth[from as usize] - self.depth[to as usize];
-        let mut s = from;
-        let mut best = NONE_U32;
-        let mut j = 0;
-        while steps > 0 {
-            if steps & 1 == 1 {
-                let cand = self.hu[j][s as usize];
-                if cand != NONE_U32 {
-                    best = cand; // later windows are higher: overwrite
-                }
-                s = self.up[j][s as usize];
-            }
-            steps >>= 1;
-            j += 1;
-        }
-        best
-    }
-
-    /// Fixed-root LCA using the precomputed tables.
-    fn fixed<A: ClusterAggregate>(
-        &self,
-        f: &RcForest<A>,
-        sweep: &MarkedSweep<'_, A>,
-        u: Vertex,
-        v: Vertex,
-        root: Vertex,
-    ) -> Vertex {
-        if u == v {
-            return u;
-        }
-        if u == root || v == root {
-            return root;
-        }
-        let su = sweep.slot(u);
-        let sv = sweep.slot(v);
-        let sm = self.rc_lca(su, sv);
-        let m = sweep.rep(sm);
-        let dm = self.depth[sm as usize];
-        let arr_u = if su == sm {
-            None
-        } else {
-            Some(sweep.rep(self.level_anc(su, dm + 1)))
-        };
-        let arr_v = if sv == sm {
-            None
-        } else {
-            Some(sweep.rep(self.level_anc(sv, dm + 1)))
-        };
-        let rb_m = self.root_boundary[sm as usize];
-
-        let closest = |x: Vertex, w: Vertex| -> Vertex {
-            let sx = sweep.slot(x);
-            let sw = sweep.slot(w);
-            let hu = self.highest_unary(sw, sx);
-            if hu == NONE_U32 {
-                w
-            } else {
-                f.cluster(sweep.rep(hu)).boundary[0]
-            }
-        };
-        let c = m;
-        let one_sided = |w: Vertex, x: Vertex| -> Vertex {
-            let xc = f.cluster(x);
-            if xc.kind != ClusterKind::Binary {
-                return c;
-            }
-            let far = if xc.boundary[0] == c {
-                xc.boundary[1]
-            } else {
-                xc.boundary[0]
-            };
-            if far != rb_m {
-                c
-            } else {
-                closest(x, w)
-            }
-        };
-        match (arr_u, arr_v) {
-            (None, None) => c,
-            (Some(x), None) => one_sided(u, x),
-            (None, Some(y)) => one_sided(v, y),
-            (Some(x), Some(y)) => {
-                let between = |x: Vertex| -> bool {
-                    let xc = f.cluster(x);
-                    if xc.kind != ClusterKind::Binary {
-                        return true;
-                    }
-                    let far = if xc.boundary[0] == c {
-                        xc.boundary[1]
-                    } else {
-                        xc.boundary[0]
-                    };
-                    far != rb_m
-                };
-                let bx = between(x);
-                let by = between(y);
-                if bx && by {
-                    c
-                } else if !bx {
-                    closest(x, u)
-                } else {
-                    closest(y, v)
-                }
-            }
-        }
     }
 }
 

@@ -3,10 +3,16 @@
 //! Semigroup batch path queries have a superlinear lower bound (Tarjan's
 //! MST-verification argument), but with inverses the classic root-path
 //! trick applies: `path(u,v) = W(u) + W(v) − 2·W(lca(u,v))` where `W(x)`
-//! is the weight of the path from the component root to `x`. The `W`
-//! values are one [`top_down`](crate::MarkedSweep::top_down) visitor over
-//! the marked sweep, oriented by its `root_boundary` pass.
-//! `O(k + k log(1 + n/k))` work plus the batch-LCA cost.
+//! is the weight of the path from the component root to `x`.
+//!
+//! One marked sweep over the endpoints answers everything: its
+//! `root_labels` pass gives connectivity, its `root_boundary` pass the
+//! orientation, a [`top_down`](crate::MarkedSweep::top_down) visitor the
+//! `W` values, and the fixed-root LCA of each pair is an ascent over the
+//! sweep's slots. That LCA is `u`, `v`, the representative of the RC-LCA
+//! or a boundary of a marked cluster, so its `W` is already in the sweep.
+//! `O(k log(1 + n/k))` work for the sweep plus `O(k log n)` for the
+//! ascents.
 
 use crate::aggregate::GroupPathAggregate;
 use crate::forest::RcForest;
@@ -21,19 +27,11 @@ impl<P: GroupPathAggregate> RcForest<P> {
         if pairs.is_empty() {
             return Vec::new();
         }
-        // Fixed-root LCAs for all pairs (shares one marked subtree).
-        let lcas = self.batch_fixed_lca(pairs);
-
-        // Mark ancestors of u, v and the LCAs; compute root-path weights.
-        let sweep = self.marked_sweep(
-            pairs
-                .iter()
-                .enumerate()
-                .flat_map(|(i, &(u, v))| [Some(u), Some(v), lcas[i]].into_iter().flatten()),
-        );
+        let sweep = self.marked_sweep(pairs.iter().flat_map(|&(u, v)| [u, v]));
         if sweep.is_empty() {
             return vec![None; pairs.len()];
         }
+        let labels = sweep.root_labels();
         let rb = sweep.root_boundary();
 
         // Top-down: W[slot] = aggregate from the component root's
@@ -59,56 +57,27 @@ impl<P: GroupPathAggregate> RcForest<P> {
             };
             Some(val)
         });
+        let w_of = |x: Vertex| w[sweep.slot(x) as usize].as_ref().expect("W computed");
 
         pairs
             .par_iter()
-            .enumerate()
-            .map(|(i, &(u, v))| {
-                let l = lcas[i]?;
+            .map(|&(u, v)| {
+                if !self.in_range(u) || !self.in_range(v) {
+                    return None;
+                }
+                let root = labels[sweep.slot(u) as usize];
+                if labels[sweep.slot(v) as usize] != root {
+                    return None;
+                }
                 if u == v {
                     return Some(P::path_identity());
                 }
-                let wu = w[sweep.slot(u) as usize].clone().unwrap();
-                let wv = w[sweep.slot(v) as usize].clone().unwrap();
-                let wl = w[sweep.slot(l) as usize].clone().unwrap();
-                let inv = P::path_inverse(&wl);
+                let l = self.sweep_fixed_lca(&sweep, &rb, u, v, root);
+                let inv = P::path_inverse(w_of(l));
                 Some(P::path_combine(
-                    &P::path_combine(&wu, &wv),
+                    &P::path_combine(w_of(u), w_of(v)),
                     &P::path_combine(&inv, &inv),
                 ))
-            })
-            .collect()
-    }
-}
-
-impl<A: crate::aggregate::ClusterAggregate> RcForest<A> {
-    /// Fixed-root LCA (w.r.t. each pair's component root) for a batch of
-    /// pairs; `None` when a pair is disconnected or out of range.
-    /// Exposed for the path-sum and bottleneck pipelines.
-    pub fn batch_fixed_lca(&self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Vertex>> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let starts: Vec<Vertex> = pairs.iter().flat_map(|&(u, v)| [u, v]).collect();
-        // Out-of-range vertices get the NO_VERTEX representative, which
-        // never equals a real one — the uniform `None` path.
-        let reprs = self.batch_find_representatives(&starts);
-        let with_roots: Vec<Option<(Vertex, Vertex, Vertex)>> = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(u, v))| {
-                let (ru, rv) = (reprs[2 * i], reprs[2 * i + 1]);
-                (ru != NO_VERTEX && ru == rv).then_some((u, v, ru))
-            })
-            .collect();
-        let queries: Vec<(Vertex, Vertex, Vertex)> = with_roots.iter().flatten().copied().collect();
-        let answers = self.batch_lca(&queries);
-        let mut ai = answers.into_iter();
-        with_roots
-            .into_iter()
-            .map(|q| match q {
-                None => None,
-                Some(_) => ai.next().unwrap(),
             })
             .collect()
     }

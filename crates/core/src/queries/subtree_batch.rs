@@ -26,9 +26,21 @@ impl<S: SubtreeAggregate> RcForest<S> {
         if queries.is_empty() {
             return Vec::new();
         }
-        // Mark ancestors of both endpoints (the p-side walk also feeds the
-        // direction-giver climb).
-        let sweep = self.marked_sweep(queries.iter().flat_map(|&(u, p)| [u, p]));
+        // Reject before marking, as the single query does: entries with an
+        // out-of-range vertex or a non-adjacent `(u, p)` mark nothing.
+        let valid: Vec<bool> = queries
+            .iter()
+            .map(|&(u, p)| self.in_range(u) && self.in_range(p) && self.has_edge(u, p))
+            .collect();
+        // Only `u`'s ancestors carry OUT values the assembly reads; the
+        // direction-giver climb from `p` walks the forest itself.
+        let sweep = self.marked_sweep(
+            queries
+                .iter()
+                .zip(&valid)
+                .filter(|&(_, &ok)| ok)
+                .map(|(&(u, _), _)| u),
+        );
 
         // Top-down: OUT values per marked cluster per boundary slot.
         // out[slot][i] = aggregate of the subtree growing out of
@@ -86,8 +98,9 @@ impl<S: SubtreeAggregate> RcForest<S> {
         // Assemble answers in parallel.
         queries
             .par_iter()
-            .map(|&(u, p)| {
-                if !self.in_range(u) || !self.in_range(p) || !self.has_edge(u, p) {
+            .enumerate()
+            .map(|(i, &(u, p))| {
+                if !valid[i] {
                     return None;
                 }
                 let (toward, excluded_boundary) = self.child_toward(u, p);

@@ -397,6 +397,32 @@ mod tests {
     }
 
     #[test]
+    fn cpt_is_a_forest_with_sorted_edges() {
+        // All vertices of a path as terminals: the root representative is
+        // a terminal with two directions, and must not become a self-loop.
+        for n in 2..40u32 {
+            let edges: Vec<(u32, u32, i64)> = (0..n - 1).map(|i| (i, i + 1, 1)).collect();
+            let f =
+                RcForest::<SumAgg<i64>>::build_edges(n as usize, &edges, BuildOptions::default())
+                    .unwrap();
+            let cpt = f.compressed_path_tree(&(0..n).collect::<Vec<_>>());
+            assert_eq!(cpt.vertices, (0..n).collect::<Vec<_>>());
+            assert_eq!(
+                cpt.edges.len(),
+                n as usize - 1,
+                "n={n}: a tree on n vertices"
+            );
+            assert!(
+                cpt.edges
+                    .windows(2)
+                    .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+                "n={n}: edges sorted and distinct"
+            );
+            assert!(cpt.edges.iter().all(|e| e.0 < e.1), "n={n}: no self-loops");
+        }
+    }
+
+    #[test]
     fn cpt_disconnected_terminals() {
         let f = RcForest::<SumAgg<i64>>::build_edges(
             4,

@@ -165,21 +165,22 @@ impl<A: ClusterAggregate> RcForest<A> {
         // can each re-claim a vertex the other just stamped (the epoch CAS
         // only rejects the *own* epoch), leaving duplicate path fragments
         // in `nodes`. The marked set is still a superset of the true one,
-        // so dropping repeats restores a consistent subtree.
-        {
+        // so dropping repeats restores a consistent subtree. Slots are
+        // assigned in the same pass.
+        let len = {
             let (nodes, slot_of) = (&mut scratch.nodes, &mut scratch.slot_of);
-            nodes.retain(|&v| {
-                let seen = slot_of[v as usize] != NONE_U32;
-                if !seen {
-                    slot_of[v as usize] = 0; // placeholder; final slot below
+            let mut len = 0;
+            for i in 0..nodes.len() {
+                let v = nodes[i];
+                if slot_of[v as usize] == NONE_U32 {
+                    slot_of[v as usize] = len as u32;
+                    nodes[len] = v;
+                    len += 1;
                 }
-                !seen
-            });
-        }
-        let len = scratch.nodes.len();
-        for (i, &v) in scratch.nodes.iter().enumerate() {
-            scratch.slot_of[v as usize] = i as u32;
-        }
+            }
+            nodes.truncate(len);
+            len
+        };
         scratch.parent.clear();
         scratch.round.clear();
         let mut max_round = 0;

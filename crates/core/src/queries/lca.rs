@@ -16,11 +16,12 @@
 //! The batch algorithm makes one marked sweep over all query vertices,
 //! reads connectivity from its `root_labels` pass and each `M`'s
 //! orientation from one `root_boundary` pass, and runs every ascent over
-//! the sweep's compact parent/round slots: `O(k log n)` work, as in the
-//! paper, which also spends a log factor here instead of building the
-//! Berkman–Vishkin structure (it "has a 2^228 constant factor", §5.7).
-//! The single-query entry point makes the same ascent over the forest
-//! and orients `M` with an `O(log n)` walk to its root.
+//! the sweep's compact parent/round slots: `O(k log n)` work. The paper's
+//! implementation likewise spends a log factor over `O(k log(1 + n/k))`
+//! rather than build the Berkman–Vishkin structure, which "has a 2^228
+//! constant factor" (§5.7). The single-query entry point makes the same
+//! ascent over the forest and orients `M` with an `O(log n)` walk to its
+//! root.
 
 use crate::aggregate::ClusterAggregate;
 use crate::forest::RcForest;
@@ -105,8 +106,8 @@ impl<A: ClusterAggregate> RcForest<A> {
         self.meet_answer(u, v, m, arr_u, arr_v, rb_m)
     }
 
-    /// [`Self::fixed_lca`] over a marked sweep holding `u` and `v`: the
-    /// ascent walks the sweep's compact slots and `rb` is the sweep's
+    /// [`Self::fixed_lca`] of the vertices at sweep slots `su` and `sv`:
+    /// the ascent walks the sweep's compact slots and `rb` is the sweep's
     /// [`root_boundary`](MarkedSweep::root_boundary) pass. The answer is
     /// `u`, `v`, the RC-LCA's representative or a boundary of a marked
     /// cluster, so it is marked too.
@@ -114,10 +115,11 @@ impl<A: ClusterAggregate> RcForest<A> {
         &self,
         sweep: &MarkedSweep<'_, A>,
         rb: &[Vertex],
-        u: Vertex,
-        v: Vertex,
+        su: u32,
+        sv: u32,
         root: Vertex,
     ) -> Vertex {
+        let (u, v) = (sweep.rep(su), sweep.rep(sv));
         if u == v {
             return u;
         }
@@ -125,8 +127,8 @@ impl<A: ClusterAggregate> RcForest<A> {
             return root;
         }
         let (sm, arr_u, arr_v) = rc_meet(
-            sweep.slot(u),
-            sweep.slot(v),
+            su,
+            sv,
             |s| sweep.round(s),
             |s| sweep.parent(s).expect("rc_meet on disconnected vertices"),
         );
@@ -287,9 +289,9 @@ impl<A: ClusterAggregate> RcForest<A> {
                 if [u, v, r].iter().any(|&x| !self.in_range(x)) {
                     return None;
                 }
-                let root = labels[sweep.slot(u) as usize];
-                if labels[sweep.slot(v) as usize] != root || labels[sweep.slot(r) as usize] != root
-                {
+                let (su, sv, sr) = (sweep.slot(u), sweep.slot(v), sweep.slot(r));
+                let root = labels[su as usize];
+                if labels[sv as usize] != root || labels[sr as usize] != root {
                     return None;
                 }
                 if u == v || u == r {
@@ -299,7 +301,7 @@ impl<A: ClusterAggregate> RcForest<A> {
                     return Some(v);
                 }
                 let fixed = |a, b| self.sweep_fixed_lca(&sweep, &rb, a, b, root);
-                Some(fixed(u, v) ^ fixed(u, r) ^ fixed(v, r))
+                Some(fixed(su, sv) ^ fixed(su, sr) ^ fixed(sv, sr))
             })
             .collect()
     }

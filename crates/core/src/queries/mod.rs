@@ -7,18 +7,19 @@
 //! [`RcForest::marked_sweep`](crate::RcForest::marked_sweep)): collect and
 //! validate the batch's start vertices, atomically mark their RC-tree
 //! ancestors (`O(k log(1 + n/k))` marked clusters, Theorem A.2), then run
-//! top-down / bottom-up visitor passes over the marked subtree. A query
-//! family contributes only its visitor and an `O(1)`-per-query assembly
-//! step:
+//! top-down / bottom-up visitor passes over the marked subtree. Each batch
+//! call makes exactly one sweep; a query family contributes its visitors,
+//! per-call state in flat arrays indexed by sweep slot, and a per-query
+//! assembly step:
 //!
 //! | module | queries | engine passes | work (batch of k) |
 //! |---|---|---|---|
 //! | [`connectivity`] | `connected`, `batch_connected`, representatives | `root_labels` | `O(k log(1+n/k))` |
-//! | [`subtree_batch`] | batch subtree aggregates | OUT-values top-down | `O(k log(1+n/k))` |
-//! | [`lca`] | single + batch LCA (arbitrary roots) | `root_labels`, `root_boundary`, depth + static tables | `O(k log n)` (paper's table concession) |
-//! | [`path_batch`] | batch path sums (commutative group) | `root_boundary`, root-path-W top-down | `O(k log(1+n/k))` |
-//! | [`cpt`] | compressed path trees | exposure bottom-up | `O(k log(1+n/k))` |
-//! | [`bottleneck`] | batch path minima/maxima | via [`cpt`] | `O(k log(1+n/k))` |
+//! | [`subtree_batch`] | batch subtree aggregates | OUT-values top-down (valid entries only) | `O(k log(1+n/k))` + `O(log n)` per query |
+//! | [`lca`] | single + batch LCA (arbitrary roots) | `root_labels`, `root_boundary`; per query three slot ascents | `O(k log n)` (the paper's log-factor concession) |
+//! | [`path_batch`] | batch path sums (commutative group) | `root_labels`, `root_boundary`, root-path-W top-down; per pair one slot ascent | `O(k log(1+n/k))` + `O(k log n)` ascents |
+//! | [`cpt`] | compressed path trees | exposure bottom-up, then flat compaction | `O(k log(1+n/k))` |
+//! | [`bottleneck`] | batch path minima/maxima | via [`cpt`], then lifting on the `O(k)` tree | `O(k log(1+n/k) + k log k)` |
 //! | [`marked`] | batch nearest-marked-vertex | nearest-global top-down | `O(k log(1+n/k))` |
 //!
 //! Single-vertex-pair variants ([`path`], [`subtree`]) walk one ancestor

@@ -57,7 +57,7 @@ impl<P: GroupPathAggregate> RcForest<P> {
             };
             Some(val)
         });
-        let w_of = |x: Vertex| w[sweep.slot(x) as usize].as_ref().expect("W computed");
+        let w_at = |s: u32| w[s as usize].as_ref().expect("W computed");
 
         pairs
             .par_iter()
@@ -65,17 +65,18 @@ impl<P: GroupPathAggregate> RcForest<P> {
                 if !self.in_range(u) || !self.in_range(v) {
                     return None;
                 }
-                let root = labels[sweep.slot(u) as usize];
-                if labels[sweep.slot(v) as usize] != root {
+                let (su, sv) = (sweep.slot(u), sweep.slot(v));
+                let root = labels[su as usize];
+                if labels[sv as usize] != root {
                     return None;
                 }
                 if u == v {
                     return Some(P::path_identity());
                 }
-                let l = self.sweep_fixed_lca(&sweep, &rb, u, v, root);
-                let inv = P::path_inverse(w_of(l));
+                let l = self.sweep_fixed_lca(&sweep, &rb, su, sv, root);
+                let inv = P::path_inverse(w_at(sweep.slot(l)));
                 Some(P::path_combine(
-                    &P::path_combine(w_of(u), w_of(v)),
+                    &P::path_combine(w_at(su), w_at(sv)),
                     &P::path_combine(&inv, &inv),
                 ))
             })

@@ -4,7 +4,9 @@
 //! used pervasively in tests and available to users behind a debug call.
 //! `canonical_structure()` renders the clustering in an arena-independent
 //! form so a repaired forest can be compared bit-for-bit against a fresh
-//! rebuild (the change-propagation equality oracle, see DESIGN.md §7).
+//! rebuild. That is the change-propagation equality oracle: after any
+//! batch update, the repaired clustering must equal the one a fresh build
+//! of the same edge set produces.
 
 use crate::aggregate::ClusterAggregate;
 use crate::forest::RcForest;

@@ -67,7 +67,8 @@ impl Default for ForestGenConfig {
     }
 }
 
-/// The four named configurations used across the evaluation (DESIGN §5).
+/// The four named configurations used across the evaluation: shallow and
+/// deep trees of short chains, long chains, and tiny trees.
 pub fn paper_configs(n: usize, seed: u64) -> Vec<(&'static str, ForestGenConfig)> {
     vec![
         (

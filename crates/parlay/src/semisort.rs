@@ -4,8 +4,9 @@
 //! paper uses the expected-linear-work semisort of \[48\]; we hash keys to
 //! 64 bits and sort by hash, which has the same interface and, for the
 //! word-sized keys used throughout this workspace, differs only by the
-//! `O(log n)` comparison-sort factor (documented in DESIGN.md §4). Groups
-//! come back as contiguous ranges.
+//! `O(log n)` comparison-sort factor. That factor is a deliberate
+//! deviation from the paper: one parallel sort is far simpler than a
+//! hash-bucketing semisort. Groups come back as contiguous ranges.
 
 use crate::rng::hash2;
 use crate::sort::sort_by_u64_pair_key;

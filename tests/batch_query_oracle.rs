@@ -311,7 +311,7 @@ fn release_scale_batches_match_lct() {
             let (a, b, _) = state.edges[(i * 7919) % state.edges.len()];
             match i % 8 {
                 0 => pairs[i],
-                1 | 2 | 3 => (b, a),
+                1..=3 => (b, a),
                 _ => (a, b),
             }
         })

@@ -15,6 +15,7 @@
 
 use crate::aggregate::PathAggregate;
 use crate::forest::RcForest;
+use crate::queries::cpt::incidence;
 use crate::types::Vertex;
 use rayon::prelude::*;
 use rc_parlay::NONE_U32;
@@ -71,23 +72,7 @@ struct Lifting<P: PathAggregate> {
 
 impl<P: PathAggregate> Lifting<P> {
     fn build(n: usize, edges: &[(u32, u32, P::PathVal)]) -> Self {
-        // CSR adjacency of (neighbor, edge id).
-        let mut off = vec![0u32; n + 1];
-        for &(a, b, _) in edges {
-            off[a as usize + 1] += 1;
-            off[b as usize + 1] += 1;
-        }
-        for x in 0..n {
-            off[x + 1] += off[x];
-        }
-        let mut nbr = vec![(0u32, 0u32); 2 * edges.len()];
-        let mut fill = off[..n].to_vec();
-        for (i, &(a, b, _)) in edges.iter().enumerate() {
-            nbr[fill[a as usize] as usize] = (b, i as u32);
-            fill[a as usize] += 1;
-            nbr[fill[b as usize] as usize] = (a, i as u32);
-            fill[b as usize] += 1;
-        }
+        let (off, adj) = incidence(n, edges);
         // BFS rooting per component; `order` doubles as the queue.
         let mut up = vec![NONE_U32; n];
         let mut agg: Vec<P::PathVal> = vec![P::path_identity(); n];
@@ -105,11 +90,13 @@ impl<P: PathAggregate> Lifting<P> {
             while head < order.len() {
                 let x = order[head];
                 head += 1;
-                for &(y, e) in &nbr[off[x as usize] as usize..off[x as usize + 1] as usize] {
+                for &e in &adj[off[x as usize] as usize..off[x as usize + 1] as usize] {
+                    let (a, b, w) = &edges[e as usize];
+                    let y = if *a == x { *b } else { *a };
                     if comp[y as usize] == NONE_U32 {
                         comp[y as usize] = r;
                         up[y as usize] = x;
-                        agg[y as usize] = edges[e as usize].2.clone();
+                        agg[y as usize] = w.clone();
                         depth[y as usize] = depth[x as usize] + 1;
                         order.push(y);
                     }

@@ -226,6 +226,28 @@ impl<P: PathAggregate> RcForest<P> {
     }
 }
 
+/// CSR incidence of a graph on vertices `0..n`: the edges at `x` are
+/// `adj[off[x]..off[x + 1]]`, as indices into `edges`.
+pub(crate) fn incidence<T>(n: usize, edges: &[(u32, u32, T)]) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n + 1];
+    for &(a, b, _) in edges {
+        off[a as usize + 1] += 1;
+        off[b as usize + 1] += 1;
+    }
+    for x in 0..n {
+        off[x + 1] += off[x];
+    }
+    let mut adj = vec![0u32; off[n] as usize];
+    let mut fill = off[..n].to_vec();
+    for (i, &(a, b, _)) in edges.iter().enumerate() {
+        for x in [a, b] {
+            adj[fill[x as usize] as usize] = i as u32;
+            fill[x as usize] += 1;
+        }
+    }
+    (off, adj)
+}
+
 /// Remove non-terminal leaves, then splice chains of non-terminal
 /// degree-2 vertices into single edges, combining their aggregates.
 /// Vertices are sweep slots; `is_term` is the per-slot terminal bitmap.
@@ -234,25 +256,10 @@ fn compact<P: PathAggregate>(
     edges: Vec<(u32, u32, P::PathVal)>,
 ) -> SlotTree<P::PathVal> {
     let m = is_term.len();
-    // Live degree and CSR adjacency (edge ids) per slot.
-    let mut deg = vec![0u32; m];
-    for &(a, b, _) in &edges {
-        deg[a as usize] += 1;
-        deg[b as usize] += 1;
-    }
-    let mut off = vec![0u32; m + 1];
-    for x in 0..m {
-        off[x + 1] = off[x] + deg[x];
-    }
-    let mut adj = vec![0u32; off[m] as usize];
-    let mut fill = off[..m].to_vec();
-    for (i, &(a, b, _)) in edges.iter().enumerate() {
-        for x in [a, b] {
-            adj[fill[x as usize] as usize] = i as u32;
-            fill[x as usize] += 1;
-        }
-    }
+    let (off, adj) = incidence(m, &edges);
     let incident = |x: u32| &adj[off[x as usize] as usize..off[x as usize + 1] as usize];
+    // Live degree per slot.
+    let mut deg: Vec<u32> = off.windows(2).map(|w| w[1] - w[0]).collect();
     let other = |e: u32, x: u32| {
         let (a, b, _) = &edges[e as usize];
         if *a == x {

@@ -4,7 +4,7 @@
 //! this bench keeps the serving path on the CI radar.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rc_bench::serve_driver::{coalesced_policy, default_stream, run_load, LoadSpec};
+use rc_bench::serve_driver::{coalescing_policy, default_stream, run_load, LoadSpec};
 use rc_serve::ServeConfig;
 
 fn bench_serve(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn bench_serve(c: &mut Criterion) {
                 window,
                 open_loop: false,
                 stream: default_stream(n, 7),
-                server: coalesced_policy(threads, window),
+                server: coalescing_policy(threads, window),
                 durability: None,
                 obs_scrape: false,
             })

@@ -14,7 +14,7 @@
 //! Scale via `RC_BENCH_SCALE` (`tiny` for CI smoke); `RC_PERSIST_OUT`
 //! overrides the output path.
 
-use rc_bench::serve_driver::{coalesced_policy, run_load, LoadSpec};
+use rc_bench::serve_driver::{coalescing_policy, run_load, LoadSpec};
 use rc_bench::{scale, time_once, Table};
 use rc_core::{BuildOptions, DynamicForest, ForestState};
 use rc_gen::{ForestGenConfig, OpMix, RequestStream, RequestStreamConfig};
@@ -87,7 +87,7 @@ fn wal_overhead(n: usize, ops_per_thread: usize) -> Vec<WalRow> {
         window,
         open_loop: false,
         stream: update_stream(n, 4242),
-        server: coalesced_policy(threads, window),
+        server: coalescing_policy(threads, window),
         durability: None,
         obs_scrape: false,
     });
@@ -100,7 +100,7 @@ fn wal_overhead(n: usize, ops_per_thread: usize) -> Vec<WalRow> {
             window,
             open_loop: false,
             stream: update_stream(n, 4242),
-            server: coalesced_policy(threads, window),
+            server: coalescing_policy(threads, window),
             durability,
             obs_scrape: false,
         });

@@ -1,14 +1,14 @@
-//! `rc-serve` load driver: pipelined vs coalesced vs forced size-1
-//! epochs across a thread sweep (closed loop), plus an offered-load sweep
-//! (open loop) tracing the latency-vs-load curve per mode, writing
-//! `BENCH_serve.json` so the serving-throughput trajectory is tracked
-//! across PRs.
+//! `rc-serve` load driver: coalesced vs forced size-1 epochs across a
+//! thread sweep (closed loop, in memory and with a per-epoch-fsync WAL),
+//! plus an offered-load sweep (open loop) tracing the latency-vs-load
+//! curve, writing `BENCH_serve.json` so the serving-throughput trajectory
+//! is tracked across PRs.
 //!
 //! Scale via `RC_BENCH_SCALE` (`tiny` for CI smoke, `large` for a full
 //! machine); `RC_SERVE_OUT` overrides the output path.
 
 use rc_bench::serve_driver::{
-    coalesced_policy, default_stream, pipelined_policy, run_load_reusing, LoadResult, LoadSpec,
+    coalescing_policy, default_stream, run_load_reusing, LoadResult, LoadSpec,
 };
 use rc_bench::{scale, Table};
 use rc_gen::Arrival;
@@ -43,7 +43,7 @@ fn main() {
          machine parallelism {machine_parallelism}"
     );
     let t = Table::new(
-        "Pipelined vs coalesced vs size-1 epochs (closed loop) + WAL + offered-load sweep",
+        "Coalesced vs size-1 epochs (closed loop) + WAL + offered-load sweep",
         &[
             "mode",
             "loop",
@@ -88,7 +88,7 @@ fn main() {
     let mut scratch = Vec::new();
     for &threads in &threads_sweep {
         let stream = default_stream(n, 42 + threads as u64);
-        // Coalesced (strict alternation), closed loop — the baseline.
+        // Coalesced epochs, closed loop.
         let coalesced = run_load_reusing(
             &LoadSpec {
                 threads,
@@ -96,7 +96,7 @@ fn main() {
                 window,
                 open_loop: false,
                 stream: stream.clone(),
-                server: coalesced_policy(threads, window),
+                server: coalescing_policy(threads, window),
                 durability: None,
                 obs_scrape: false,
             },
@@ -109,28 +109,6 @@ fn main() {
             offered: 0.0,
             r: coalesced,
         });
-        // Pipelined (depth 1), closed loop — epoch E's query phase
-        // overlaps epoch E+1's update phase.
-        let pipelined = run_load_reusing(
-            &LoadSpec {
-                threads,
-                ops_per_thread,
-                window,
-                open_loop: false,
-                stream: stream.clone(),
-                server: pipelined_policy(threads, window),
-                durability: None,
-                obs_scrape: false,
-            },
-            &mut scratch,
-        );
-        rows.push(Row {
-            mode: "pipelined",
-            loop_kind: "closed",
-            durability: "none",
-            offered: 0.0,
-            r: pipelined,
-        });
         // Coalesced + WAL (per-epoch fsync), closed loop: the durability
         // overhead at the same batching policy. This run also binds the
         // live observability endpoint and scrapes /metrics + /health over
@@ -142,7 +120,7 @@ fn main() {
                 window,
                 open_loop: false,
                 stream: stream.clone(),
-                server: coalesced_policy(threads, window),
+                server: coalescing_policy(threads, window),
                 durability: Some(SyncPolicy::PerEpoch),
                 obs_scrape: true,
             },
@@ -176,16 +154,14 @@ fn main() {
             offered: 0.0,
             r: size1,
         });
-        for row in rows.iter().rev().take(4).rev() {
+        for row in rows.iter().rev().take(3).rev() {
             print_row(&t, row);
         }
     }
 
-    // Offered-load sweep at the top thread count: open-loop Poisson
-    // arrivals at 30/60/90% of the coalesced closed-loop throughput, for
-    // both modes — the latency-vs-offered-load curve that shows where the
-    // overlap pays (the update-phase shadow leaves the pipelined server
-    // headroom the alternating one spends blocked).
+    // Offered-load sweep at the top thread count: open-loop arrivals at
+    // 30/60/90% of the coalesced closed-loop throughput — the
+    // latency-vs-offered-load curve.
     let top = *threads_sweep.last().unwrap();
     let closed_rate = rows
         .iter()
@@ -205,32 +181,27 @@ fn main() {
         open_stream.arrival = Arrival::Steady {
             mean_gap_ns: (1e9 / per_thread) as u64,
         };
-        for (mode, server) in [
-            ("coalesced", coalesced_policy(top, window)),
-            ("pipelined", pipelined_policy(top, window)),
-        ] {
-            let r = run_load_reusing(
-                &LoadSpec {
-                    threads: top,
-                    ops_per_thread,
-                    window,
-                    open_loop: true,
-                    stream: open_stream.clone(),
-                    server,
-                    durability: None,
-                    obs_scrape: false,
-                },
-                &mut scratch,
-            );
-            rows.push(Row {
-                mode,
-                loop_kind: "open",
-                durability: "none",
-                offered,
-                r,
-            });
-            print_row(&t, rows.last().unwrap());
-        }
+        let r = run_load_reusing(
+            &LoadSpec {
+                threads: top,
+                ops_per_thread,
+                window,
+                open_loop: true,
+                stream: open_stream,
+                server: coalescing_policy(top, window),
+                durability: None,
+                obs_scrape: false,
+            },
+            &mut scratch,
+        );
+        rows.push(Row {
+            mode: "coalesced",
+            loop_kind: "open",
+            durability: "none",
+            offered,
+            r,
+        });
+        print_row(&t, rows.last().unwrap());
     }
 
     // Tracing-overhead check at the top thread count: the same coalesced
@@ -263,7 +234,7 @@ fn main() {
     let traced_tput = best_tput(
         ServeConfig {
             trace_sample: 64,
-            ..coalesced_policy(top, window)
+            ..coalescing_policy(top, window)
         },
         &mut scratch,
     );
@@ -271,7 +242,7 @@ fn main() {
         ServeConfig {
             trace_sample: 0,
             slow_request_threshold: std::time::Duration::ZERO,
-            ..coalesced_policy(top, window)
+            ..coalescing_policy(top, window)
         },
         &mut scratch,
     );
@@ -312,7 +283,7 @@ fn main() {
                 server: ServeConfig {
                     dispatch_mode: mode,
                     explore_frac: 0.2,
-                    ..coalesced_policy(top, small_window)
+                    ..coalescing_policy(top, small_window)
                 },
                 durability: None,
                 obs_scrape: false,
@@ -370,8 +341,8 @@ fn main() {
         print_row(&t, rows.last().unwrap());
     }
 
-    // Acceptance metrics: pipelined vs coalesced, coalesced vs size-1,
-    // and the WAL tax, at the top thread count.
+    // Acceptance metrics: coalesced vs size-1 and the WAL tax, at the
+    // top thread count.
     let tput = |mode: &str, loop_kind: &str, durability: &str| {
         rows.iter()
             .find(|r| {
@@ -384,8 +355,6 @@ fn main() {
             .unwrap_or(0.0)
     };
     let speedup = tput("coalesced", "closed", "none") / tput("size1", "closed", "none").max(1e-9);
-    let overlap =
-        tput("pipelined", "closed", "none") / tput("coalesced", "closed", "none").max(1e-9);
     let wal_relative = tput("coalesced", "closed", "wal_per_epoch")
         / tput("coalesced", "closed", "none").max(1e-9);
     let max_batch_top = rows
@@ -399,18 +368,15 @@ fn main() {
         .map(|r| r.r.max_batch)
         .unwrap_or(0);
     println!(
-        "\ncoalesced vs size-1 at {top} threads: {speedup:.2}x (max coalesced batch {max_batch_top})"
-    );
-    println!(
-        "pipelined vs coalesced at {top} threads: {overlap:.2}x \
-         (machine parallelism {machine_parallelism})"
+        "\ncoalesced vs size-1 at {top} threads: {speedup:.2}x (max coalesced batch {max_batch_top}, \
+         machine parallelism {machine_parallelism})"
     );
     println!(
         "WAL (per-epoch fsync) keeps {:.0}% of in-memory throughput",
         wal_relative * 100.0
     );
 
-    // Telemetry acceptance: the pipelined run's flight-recorder phase
+    // Telemetry acceptance: the coalesced run's flight-recorder phase
     // breakdown should account for >= 90% of recorded epoch wall time —
     // otherwise the instrumentation is missing a phase.
     let find_top = |mode: &str, durability: &str| {
@@ -421,7 +387,7 @@ fn main() {
                 && r.r.threads == top
         })
     };
-    let pipelined_top = find_top("pipelined", "none").expect("pipelined top row exists");
+    let coalesced_top = find_top("coalesced", "none").expect("coalesced top row exists");
     let walled_top = find_top("coalesced", "wal_per_epoch").expect("walled top row exists");
     let fsync_p99_us = walled_top
         .r
@@ -430,13 +396,10 @@ fn main() {
         .map(|s| s.p99_ns as f64 / 1e3)
         .unwrap_or(0.0);
     println!(
-        "pipelined phase coverage at {top} threads: {:.1}% \
-         (backpressure {:.1} ms, handoff {:.1} ms over {} recorded epochs); \
+        "phase coverage at {top} threads: {:.1}% over {} recorded epochs; \
          WAL fsync p99 {fsync_p99_us:.1} us",
-        pipelined_top.r.phase_coverage * 100.0,
-        pipelined_top.r.phase.backpressure_ns as f64 / 1e6,
-        pipelined_top.r.phase.handoff_ns as f64 / 1e6,
-        pipelined_top.r.phase.epochs,
+        coalesced_top.r.phase_coverage * 100.0,
+        coalesced_top.r.phase.epochs,
     );
 
     // ---- BENCH_serve.json ----
@@ -459,8 +422,7 @@ fn main() {
              \"elapsed_s\": {:.4}, \"ops_per_sec\": {:.1}, \"epochs\": {}, \
              \"mean_batch\": {:.1}, \"max_batch\": {}, \"flushes\": {}, \
              \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"mean_us\": {:.1}, \
-             \"error_responses\": {}, \"phase_coverage\": {:.4}, \
-             \"backpressure_ms\": {:.3}, \"handoff_ms\": {:.3}}}{comma}",
+             \"error_responses\": {}, \"phase_coverage\": {:.4}}}{comma}",
             row.mode,
             row.loop_kind,
             row.durability,
@@ -479,18 +441,12 @@ fn main() {
             row.r.mean_us,
             row.r.error_responses,
             row.r.phase_coverage,
-            row.r.phase.backpressure_ns as f64 / 1e6,
-            row.r.phase.handoff_ns as f64 / 1e6,
         );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
         "  \"speedup_coalesced_vs_size1_at_{top}_threads\": {speedup:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"pipelined_vs_coalesced_at_{top}_threads\": {overlap:.3},"
     );
     let _ = writeln!(
         json,
@@ -557,29 +513,26 @@ fn main() {
         adaptive_small_k.cost_model_json
     );
     let _ = writeln!(json, "  }},");
-    // Full telemetry for the pipelined closed-loop run at the top thread
+    // Full telemetry for the coalesced closed-loop run at the top thread
     // count: the per-phase breakdown of where epoch wall time went, plus
     // the complete metrics snapshot (phase histograms, stall counters,
     // pool counters when compiled in). The fsync p99 comes from the WAL
     // run at the same thread count — the in-memory runs never fsync.
-    let p = &pipelined_top.r.phase;
+    let p = &coalesced_top.r.phase;
     let _ = writeln!(json, "  \"telemetry\": {{");
-    let _ = writeln!(json, "    \"mode\": \"pipelined\",");
+    let _ = writeln!(json, "    \"mode\": \"coalesced\",");
     let _ = writeln!(json, "    \"threads\": {top},");
     let _ = writeln!(json, "    \"recorded_epochs\": {},", p.epochs);
     let _ = writeln!(
         json,
         "    \"phase_coverage\": {:.4},",
-        pipelined_top.r.phase_coverage
+        coalesced_top.r.phase_coverage
     );
     let _ = writeln!(json, "    \"phase_totals_ns\": {{");
     let _ = writeln!(json, "      \"drain\": {},", p.drain_ns);
     let _ = writeln!(json, "      \"admit\": {},", p.admit_ns);
     let _ = writeln!(json, "      \"commit\": {},", p.commit_ns);
     let _ = writeln!(json, "      \"wal\": {},", p.wal_ns);
-    let _ = writeln!(json, "      \"publish\": {},", p.publish_ns);
-    let _ = writeln!(json, "      \"backpressure\": {},", p.backpressure_ns);
-    let _ = writeln!(json, "      \"handoff\": {},", p.handoff_ns);
     let _ = writeln!(json, "      \"query\": {},", p.query_ns);
     let _ = writeln!(json, "      \"respond\": {},", p.respond_ns);
     let _ = writeln!(json, "      \"wall\": {}", p.wall_ns);
@@ -598,7 +551,7 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"snapshot\": {}",
-        pipelined_top.r.snapshot.to_json()
+        coalesced_top.r.snapshot.to_json()
     );
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");

@@ -89,25 +89,13 @@ pub fn default_stream(n: usize, seed: u64) -> RequestStreamConfig {
 
 /// A coalescing policy tuned for windowed closed-loop load: drain the
 /// moment the whole aggregate window is queued (every client blocked),
-/// with a short linger bounding the wait when clients straggle. Pinned to
-/// `pipeline_depth: 0` — strict phase alternation, the baseline the
-/// pipelined mode is measured against.
-pub fn coalesced_policy(threads: usize, window: usize) -> ServeConfig {
+/// with a short linger bounding the wait when clients straggle.
+pub fn coalescing_policy(threads: usize, window: usize) -> ServeConfig {
     ServeConfig {
         max_epoch_ops: (threads * window).max(1024),
         drain_threshold: (threads * window).max(1),
         max_linger: Duration::from_micros(50),
-        pipeline_depth: 0,
         ..ServeConfig::default()
-    }
-}
-
-/// The same batching policy with MVCC pipelining at depth 1: epoch E's
-/// query phase overlaps epoch E+1's update phase on a second thread.
-pub fn pipelined_policy(threads: usize, window: usize) -> ServeConfig {
-    ServeConfig {
-        pipeline_depth: 1,
-        ..coalesced_policy(threads, window)
     }
 }
 

@@ -30,8 +30,8 @@
 //!   restarted server can start warm ([`CostModel::load_table`]).
 //!
 //! Everything is `&self` and allocation-free on the observe/choose hot
-//! paths; the serve tier shares one model between the epoch worker and
-//! the pipelined query executor.
+//! paths; the serve tier's epoch worker feeds and consults one model
+//! while the observability endpoint reads it live.
 
 use crate::frame;
 use crate::registry::escape_json;
@@ -52,7 +52,7 @@ pub const NUM_OCTAVES: usize = 18;
 /// Engine names, indexed by [`Engine::index`].
 pub const ENGINE_NAMES: [&str; NUM_ENGINES] = ["batched", "independent", "sequential"];
 
-/// How a family's query fan-out is executed over the published forest.
+/// How a family's query fan-out is executed over the committed forest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
     /// One batch call for the whole family (shared sweeps; wins at
@@ -205,7 +205,7 @@ fn cell_index(family: usize, engine: usize, octave: usize) -> usize {
 }
 
 /// The online profiler + decision policy. Shared (`Arc`) between the
-/// serve worker and the query executor; all methods are `&self`.
+/// serve worker and the observability endpoint; all methods are `&self`.
 pub struct CostModel {
     cells: Box<[Cell]>,
     /// Probability a decision explores rather than exploits, in units of
@@ -248,8 +248,8 @@ impl CostModel {
     }
 
     /// Feed one measured fan-out: `family` ran `k` queries on `engine`
-    /// in `total_ns`. Lock-free; called from the epoch worker or the
-    /// query executor after every timed family batch.
+    /// in `total_ns`. Lock-free; called from the epoch worker after
+    /// every timed family batch.
     pub fn observe(&self, family: usize, engine: Engine, k: u32, total_ns: u64) {
         if family >= NUM_FAMILIES || k == 0 {
             return;

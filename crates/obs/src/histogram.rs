@@ -1,7 +1,7 @@
 //! Lock-free log-bucketed histogram, shared across the stack.
 //!
 //! Promoted out of `rc-serve` (which re-exports it as `LatencyHistogram`)
-//! so every subsystem — the coalescer, the query executor, the WAL —
+//! so every subsystem — the coalescer, the WAL —
 //! records into the same bucket layout and per-thread/per-family
 //! histograms can be [`merge`](Histogram::merge)d into one snapshot.
 

@@ -11,9 +11,8 @@
 //!   Prometheus-text / JSON exports.
 //! - [`FlightRecorder`] — a fixed-capacity lock-free ring of
 //!   [`EpochTrace`] records attributing each epoch's wall time to its
-//!   phases (drain, admission, commit, WAL, publish, back-pressure,
-//!   query fan-out per family, respond), dumpable on demand and on
-//!   worker failure.
+//!   phases (drain, admission, commit, WAL, query fan-out per family,
+//!   respond), dumpable on demand and on worker failure.
 //! - [`RequestTrace`] / [`TraceSink`] — per-request causal span traces
 //!   with deterministic 1-in-N sampling ([`trace_sampled`]), an
 //!   always-capture slow-request ring, and latency [`Exemplars`]
@@ -56,5 +55,5 @@ pub use reqtrace::{
 pub use serve_http::{
     epoch_trace_json, frame, HealthView, ObsServer, ObsServerConfig, ObsSource, DUMP_TELEMETRY_CMD,
 };
-pub use trace::{EpochTrace, FlightRecorder, PhaseTotals, RecycleOutcome, FAMILY_NAMES};
+pub use trace::{EpochTrace, FlightRecorder, PhaseTotals, FAMILY_NAMES};
 pub use watchdog::{HealthState, Probe, StallInfo, Watchdog, WatchdogConfig};

@@ -4,7 +4,7 @@
 //! A [`RequestTrace`] attributes one request's end-to-end latency to a
 //! causally ordered sequence of [`Span`]s — queue wait, then the epoch
 //! phases the request rode through (drain, admit, commit, WAL append,
-//! publish, handoff, query fan-out), then respond. Traces are captured
+//! query fan-out), then respond. Traces are captured
 //! for a deterministic 1-in-N sample of requests ([`trace_sampled`])
 //! plus *every* request that exceeds a slow threshold, and retained in
 //! the fixed-capacity rings of a [`TraceSink`]. Each captured trace also
@@ -18,9 +18,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Maximum spans one [`RequestTrace`] can carry (the deepest pipeline —
-/// queue, drain, admit, commit, wal, publish, handoff, query, respond —
-/// uses 9).
+/// Maximum spans one [`RequestTrace`] can carry (the deepest request
+/// path — queue, drain, admit, commit, wal, query, respond — uses 7).
 pub const MAX_SPANS: usize = 10;
 
 /// One contiguous interval of a request's life, relative to its submit

@@ -195,8 +195,7 @@ pub fn epoch_trace_json(t: &EpochTrace) -> String {
     let mut out = format!(
         "{{\"epoch\":{},\"batch\":{},\"updates\":{},\"queries\":{},\"flushes\":{},\
          \"queue_depth\":{},\"drain_ns\":{},\"admit_ns\":{},\"commit_ns\":{},\
-         \"wal_ns\":{},\"publish_ns\":{},\"backpressure_ns\":{},\"handoff_ns\":{},\
-         \"query_ns\":{},\"respond_ns\":{},\"epoch_wall_ns\":{},\"failed\":{},\
+         \"wal_ns\":{},\"query_ns\":{},\"respond_ns\":{},\"epoch_wall_ns\":{},\"failed\":{},\
          \"families\":{{",
         t.epoch,
         t.batch,
@@ -208,9 +207,6 @@ pub fn epoch_trace_json(t: &EpochTrace) -> String {
         t.admit_ns,
         t.commit_ns,
         t.wal_ns,
-        t.publish_ns,
-        t.backpressure_ns,
-        t.handoff_ns,
         t.query_ns,
         t.respond_ns,
         t.epoch_wall_ns,

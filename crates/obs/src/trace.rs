@@ -1,9 +1,8 @@
 //! Epoch flight recorder: a fixed-capacity lock-free ring of
 //! [`EpochTrace`] records.
 //!
-//! The serve worker records one trace per epoch; the query executor
-//! stamps the query-side fields of the same epoch from another thread.
-//! Recording never blocks and never allocates — each slot is a seqlock
+//! The serve worker records one trace per epoch, once the epoch's last
+//! response has filled. Recording never blocks and never allocates — each slot is a seqlock
 //! (sequence word + plain cell), writers claim a slot with a single CAS
 //! and readers retry a copy if a writer raced them. A dump returns the
 //! newest `capacity` traces in epoch order, safe to call from any
@@ -12,19 +11,6 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// How the pipelined publish path obtained the version buffer for an
-/// epoch (see `ensure_published` in rc-serve).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RecycleOutcome {
-    /// Queries ran inline, or the version was already published.
-    #[default]
-    None,
-    /// A retired buffer was caught up via `FlushRecord` replay.
-    CaughtUp,
-    /// No buffer was recyclable; the forest was cloned.
-    Cloned,
-}
 
 /// Query families timed individually during the fan-out phase. Indexes
 /// [`EpochTrace::family_ns`] / [`EpochTrace::family_counts`].
@@ -42,13 +28,9 @@ pub const FAMILY_NAMES: [&str; 8] = [
 /// Per-epoch phase timings and sizes. `Copy` with no heap so the
 /// flight-recorder ring can publish it through a seqlock.
 ///
-/// The phases partition an epoch's wall time in dispatch order: drain →
-/// admission → commit propagation (flushes) → WAL append → version
-/// publish → back-pressure wait → (handoff) → query fan-out → respond.
-/// Under pipelining the handoff/query/respond fields are stamped by the
-/// query executor after the worker has already recorded the update-side
-/// fields; `epoch_wall_ns` is stamped by whichever side finishes the
-/// epoch.
+/// The phases partition an epoch's wall time in the order the worker
+/// runs them: drain → admission → commit propagation (flushes) → WAL
+/// append → query fan-out → respond.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EpochTrace {
     /// Epoch number (unique per serve worker lifetime).
@@ -71,14 +53,7 @@ pub struct EpochTrace {
     pub commit_ns: u64,
     /// WAL append + fsync (zero when durability is off).
     pub wal_ns: u64,
-    /// MVCC version publish (zero when queries run inline).
-    pub publish_ns: u64,
-    /// Time the worker blocked handing the query job to the executor
-    /// (pipeline back-pressure).
-    pub backpressure_ns: u64,
-    /// Dispatch-to-pickup latency of the query job (zero inline).
-    pub handoff_ns: u64,
-    /// True query fan-out wall time, measured on the thread that ran it.
+    /// Query fan-out wall time.
     pub query_ns: u64,
     /// Filling response slots + recording request latencies.
     pub respond_ns: u64,
@@ -98,8 +73,6 @@ pub struct EpochTrace {
     /// Bitmask of families whose engine choice was an exploration
     /// sample rather than the predicted-cheapest engine.
     pub family_explored: u8,
-    /// Buffer-recycle outcome of the publish step.
-    pub recycle: RecycleOutcome,
     /// True if the epoch failed (WAL append error, compaction error);
     /// phase fields before the failure point are still valid.
     pub failed: bool,
@@ -107,16 +80,11 @@ pub struct EpochTrace {
 
 impl EpochTrace {
     /// Sum of the phase timings that partition the epoch's wall time.
-    /// `backpressure_ns` is excluded: the worker's blocked send happens
-    /// inside the dispatch-to-pickup window that `handoff_ns` already
-    /// covers, so counting both would double-bill the gap.
     pub fn phase_sum_ns(&self) -> u64 {
         self.drain_ns
             + self.admit_ns
             + self.commit_ns
             + self.wal_ns
-            + self.publish_ns
-            + self.handoff_ns
             + self.query_ns
             + self.respond_ns
     }
@@ -261,12 +229,6 @@ pub struct PhaseTotals {
     pub commit_ns: u64,
     /// Total WAL append+fsync time.
     pub wal_ns: u64,
-    /// Total version-publish time.
-    pub publish_ns: u64,
-    /// Total pipeline back-pressure wait.
-    pub backpressure_ns: u64,
-    /// Total dispatch-to-pickup handoff latency.
-    pub handoff_ns: u64,
     /// Total query fan-out time.
     pub query_ns: u64,
     /// Total respond time.
@@ -287,9 +249,6 @@ impl PhaseTotals {
             t.admit_ns += tr.admit_ns;
             t.commit_ns += tr.commit_ns;
             t.wal_ns += tr.wal_ns;
-            t.publish_ns += tr.publish_ns;
-            t.backpressure_ns += tr.backpressure_ns;
-            t.handoff_ns += tr.handoff_ns;
             t.query_ns += tr.query_ns;
             t.respond_ns += tr.respond_ns;
             t.wall_ns += tr.epoch_wall_ns;
@@ -300,23 +259,19 @@ impl PhaseTotals {
         t
     }
 
-    /// Sum of all phase totals (the numerator of coverage; like
-    /// [`EpochTrace::phase_sum_ns`], back-pressure is excluded because
-    /// handoff already covers that window).
+    /// Sum of all phase totals (the numerator of coverage).
     pub fn phase_sum_ns(&self) -> u64 {
         self.drain_ns
             + self.admit_ns
             + self.commit_ns
             + self.wal_ns
-            + self.publish_ns
-            + self.handoff_ns
             + self.query_ns
             + self.respond_ns
     }
 
     /// Fraction of epoch wall time the phases account for (1.0 = every
     /// nanosecond attributed). The acceptance bar for this repo is
-    /// ≥ 0.9 on a pipelined release run.
+    /// ≥ 0.9 on a release run under concurrent load.
     pub fn coverage(&self) -> f64 {
         if self.wall_ns == 0 {
             return 1.0;
@@ -344,9 +299,6 @@ mod tests {
             admit_ns: epoch * 11,
             commit_ns: epoch * 12,
             wal_ns: epoch * 13,
-            publish_ns: epoch * 14,
-            backpressure_ns: epoch * 15,
-            handoff_ns: epoch * 16,
             query_ns: epoch * 17,
             respond_ns: epoch * 18,
             epoch_wall_ns: epoch * 19,
@@ -403,8 +355,8 @@ mod tests {
 
     #[test]
     fn concurrent_writers_and_readers_no_torn_records() {
-        // Two writer threads (standing in for the coalescer worker and
-        // the query executor) hammer a small ring while two readers dump
+        // Two writer threads (the ring's contract allows concurrent
+        // writers) hammer a small ring while two readers dump
         // continuously. Every dumped record must be internally
         // consistent — all fields derived from the same epoch.
         let ring = Arc::new(FlightRecorder::new(32));
@@ -503,10 +455,7 @@ mod tests {
             admit_ns: 20,
             commit_ns: 30,
             wal_ns: 40,
-            publish_ns: 5,
-            backpressure_ns: 99, // excluded: handoff covers this window
-            handoff_ns: 5,
-            query_ns: 60,
+            query_ns: 70,
             respond_ns: 30,
             epoch_wall_ns: 200,
             ..EpochTrace::default()
@@ -517,7 +466,6 @@ mod tests {
         assert_eq!(totals.phase_sum_ns(), 400);
         assert_eq!(totals.wall_ns, 400);
         assert!((totals.coverage() - 1.0).abs() < 1e-9);
-        assert_eq!(totals.backpressure_ns, 198);
         let empty = PhaseTotals::default();
         assert!((empty.coverage() - 1.0).abs() < 1e-9);
     }

@@ -38,8 +38,8 @@ impl WatchdogConfig {
 /// One observation of the watched component.
 #[derive(Clone, Copy, Debug)]
 pub struct Probe {
-    /// Monotone progress counter (e.g. sum of worker + executor epoch
-    /// heartbeats). Any increase means the component is alive.
+    /// Monotone progress counter (e.g. the serve worker's epoch
+    /// heartbeat). Any increase means the component is alive.
     pub progress: u64,
     /// Whether the component *should* be progressing (queued work, or a
     /// thread mid-phase). An idle server never stalls.

@@ -19,47 +19,41 @@
 //!    depends on an earlier cut) force a *flush* — the overlay commits via
 //!    `batch_cut` / `batch_link` / weight updates — and admission resumes
 //!    against the fresh forest. Conflict-free traffic commits as one flush.
-//! 4. **Publish + query phase** — queries group by family and fan into
-//!    one batch call each (`batch_connected`, `batch_path_aggregate`,
-//!    ...), sharing the `O(k log(1 + n/k))` marked-sweep work across the
-//!    epoch. With [`ServeConfig::pipeline_depth`] ≥ 1 (the default) the
-//!    worker first *publishes* an immutable version-stamped copy of the
-//!    committed state (see [`crate::version`]) and hands the query set to
-//!    a dedicated executor thread — then immediately starts accumulating
-//!    and committing epoch E+1's updates while epoch E's queries sweep
-//!    the published version. A bounded channel back-pressures the worker
-//!    so at most `pipeline_depth` query phases are ever in flight. At
-//!    depth 0 the phases strictly alternate on the worker thread.
+//! 4. **Query phase** — on the same worker thread, against the live
+//!    forest, queries group by family and fan into one batch call each
+//!    (`batch_connected`, `batch_path_aggregate`, ...), sharing the
+//!    `O(k log(1 + n/k))` marked-sweep work across the epoch. The phases
+//!    strictly alternate: epoch E+1 drains only after epoch E's queries
+//!    have answered, so every query observes exactly its own epoch's
+//!    committed state and is stamped with that epoch.
 //! 5. **Respond** — per-request oneshot slots fill (updates right after
-//!    the final flush + WAL append, queries as their phase completes —
-//!    possibly concurrently with later update phases), latencies are
-//!    recorded, and per-epoch stats append to the history ring.
+//!    the final flush + WAL append, queries right after their fan-out),
+//!    latencies are recorded, and per-epoch stats append to the history
+//!    ring.
 //!
-//! Durability ordering rule: a pipelined query phase is dispatched only
-//! *after* its epoch's WAL append returned, so responses released
-//! concurrently with later appends still never observe state that is not
-//! at least written. (See the README's "Epoch pipelining & MVCC reads".)
+//! Durability ordering rule: the epoch's WAL append returns before any of
+//! its response slots fill, so no client ever observes state that is not
+//! at least written (and, under per-epoch sync, fsynced).
 
 use crate::agg::{ServeForest, ServeVertexWeight};
 use crate::exec::{answer_requests_timed, family_index, Dispatcher};
 use crate::request::{Request, Response, ResponseHandle, Slot};
 use crate::stats::{EpochStats, LatencyHistogram, ServeStats};
 use crate::telemetry::{
-    ServeTelemetry, SpanLayout, StallReport, TelemetryDump, PHASE_ADMIT, PHASE_DISPATCH,
-    PHASE_DRAIN, PHASE_IDLE, PHASE_PUBLISH, PHASE_QUERY, PHASE_RESPOND, PHASE_WAL,
+    ServeTelemetry, SpanLayout, StallReport, TelemetryDump, PHASE_ADMIT, PHASE_DRAIN, PHASE_IDLE,
+    PHASE_QUERY, PHASE_RESPOND, PHASE_WAL,
 };
-use crate::version::{PublishedVersion, Snapshot, VersionTable};
 use rc_core::{DynamicForest, ForestError, ForestState};
 use rc_obs::{
     trace_sampled, CalibrationTable, CostModel, DispatchMode, DispatchStats, EpochTrace,
-    HealthView, MetricsSnapshot, ObsServer, ObsServerConfig, ObsSource, Probe, RecycleOutcome,
-    TraceDump, Watchdog, WatchdogConfig,
+    HealthView, MetricsSnapshot, ObsServer, ObsServerConfig, ObsSource, Probe, TraceDump, Watchdog,
+    WatchdogConfig,
 };
 use rc_parlay::hashtable::edge_key;
 use rc_store::{EpochRecord, FlushRecord, RecoveryReport, Store, StoreConfig, StoreError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::Receiver;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,19 +81,6 @@ pub struct ServeConfig {
     pub record_commit_log: bool,
     /// Per-epoch stats retained in the history ring.
     pub epoch_history: usize,
-    /// Maximum query phases in flight concurrently with later update
-    /// phases. `0` = strict update→query alternation on the worker
-    /// thread; `k ≥ 1` = MVCC pipelining — epoch E's queries sweep a
-    /// published immutable version on a dedicated executor thread while
-    /// the worker commits epoch E+1, with the worker back-pressured
-    /// (blocked) once `k` query phases are outstanding.
-    pub pipeline_depth: usize,
-    /// Published versions retained for [`RcServe::snapshot_at`] /
-    /// [`ServeClient::snapshot_at`] point-in-time reads; older versions
-    /// are evicted (and their forest buffers recycled) as new epochs
-    /// publish. Each retained version holds a full forest copy — keep
-    /// this small.
-    pub retained_versions: usize,
     /// [`EpochTrace`] records retained in the flight-recorder ring
     /// (newest win once full). Dump them via [`RcServe::flight_dump`] or
     /// a [`Request::DumpTelemetry`].
@@ -161,8 +142,6 @@ impl Default for ServeConfig {
             shards: 8,
             record_commit_log: false,
             epoch_history: 64,
-            pipeline_depth: 1,
-            retained_versions: 2,
             flight_recorder: 256,
             trace_sample: 64,
             trace_seed: 0,
@@ -179,32 +158,13 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Coalescing epochs with strict phase alternation — epoch E's
-    /// queries answer on the worker thread before epoch E+1 drains. The
-    /// non-pipelined baseline `serve_load` measures overlap against.
-    pub fn coalesced() -> Self {
-        ServeConfig {
-            pipeline_depth: 0,
-            ..Self::default()
-        }
-    }
-
-    /// The default policy: coalescing epochs with MVCC pipelining at
-    /// depth 1 — epoch E's query phase overlaps epoch E+1's update phase.
-    pub fn pipelined() -> Self {
-        Self::default()
-    }
-
-    /// Degenerate size-1 epochs — every request is its own batch, phases
-    /// strictly alternating (a second thread has nothing to overlap when
-    /// every epoch is one request). The throughput baseline the coalescer
-    /// is measured against.
+    /// Degenerate size-1 epochs — every request is its own batch. The
+    /// throughput baseline the coalescer is measured against.
     pub fn unbatched() -> Self {
         ServeConfig {
             max_epoch_ops: 1,
             drain_threshold: 1,
             max_linger: Duration::ZERO,
-            pipeline_depth: 0,
             ..Self::default()
         }
     }
@@ -236,11 +196,9 @@ pub struct LogEntry {
     pub request: Request,
     /// Its response.
     pub response: Response,
-    /// MVCC version stamp: the epoch whose committed state this response
-    /// observed. Updates carry their own epoch; queries carry the
-    /// published version they swept — `≤ epoch`, strictly smaller when
-    /// trailing epochs changed nothing (equal stamps always mean
-    /// identical state).
+    /// Version stamp: the epoch whose committed state this response
+    /// observed. Queries answer right after their own epoch's updates
+    /// commit, so the stamp equals `epoch` for updates and queries alike.
     pub version: u64,
 }
 
@@ -279,8 +237,6 @@ struct Shared {
     hist: Arc<LatencyHistogram>,
     stats: Mutex<StatsInner>,
     log: Mutex<Vec<LogEntry>>,
-    /// Published MVCC versions (pipelined mode; empty at depth 0).
-    versions: VersionTable,
     /// Metrics registry + flight recorder (see [`crate::telemetry`]).
     tel: ServeTelemetry,
     /// Commit-tap subscribers ([`RcServe::subscribe_commits`]); senders
@@ -290,8 +246,8 @@ struct Shared {
     /// without taking the `taps` lock.
     tapped: AtomicBool,
     /// The adaptive-dispatch engine picker: shared cost model + mode.
-    /// Both query sites (inline worker and pipelined executor) consult
-    /// it; observations feed it in every mode.
+    /// The worker's query phase consults it; observations feed it in
+    /// every mode.
     dispatch: Dispatcher,
 }
 
@@ -388,7 +344,6 @@ impl RcServe {
             hist,
             stats: Mutex::new(StatsInner::default()),
             log: Mutex::new(Vec::new()),
-            versions: VersionTable::default(),
             tel,
             taps: Mutex::new(Vec::new()),
             tapped: AtomicBool::new(false),
@@ -398,7 +353,14 @@ impl RcServe {
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("rc-serve-epoch".into())
-            .spawn(move || Worker::new(worker_shared, store, first_epoch).run(forest))
+            .spawn(move || {
+                Worker {
+                    shared: worker_shared,
+                    epoch: first_epoch,
+                    store,
+                }
+                .run(forest)
+            })
             .expect("spawn rc-serve worker");
         let watchdog = shared.cfg.stall_deadline.map(|deadline| {
             let probe_shared = Arc::clone(&shared);
@@ -550,36 +512,10 @@ impl RcServe {
     }
 
     /// Drain the commit log recorded so far (`record_commit_log` only),
-    /// normalized to commit order: by epoch, updates (in submission
-    /// order) before queries.
+    /// in commit order: by epoch, updates (in submission order) before
+    /// queries (in submission order).
     pub fn take_commit_log(&self) -> Vec<LogEntry> {
         take_log_of(&self.shared)
-    }
-
-    /// The newest published MVCC version id. `None` until a pipelined
-    /// epoch with queries has published one (strict-alternation servers
-    /// never publish).
-    pub fn latest_version(&self) -> Option<u64> {
-        self.shared.versions.latest().map(|v| v.version)
-    }
-
-    /// Pin the newest published version for consistent point-in-time
-    /// multi-query reads. `None` when nothing has been published yet.
-    pub fn snapshot_latest(&self) -> Option<Snapshot> {
-        self.shared
-            .versions
-            .latest()
-            .map(|inner| Snapshot { inner })
-    }
-
-    /// Pin the retained version stamped `version` (the retention window
-    /// is [`ServeConfig::retained_versions`]); `None` once evicted, or if
-    /// that stamp was never published.
-    pub fn snapshot_at(&self, version: u64) -> Option<Snapshot> {
-        self.shared
-            .versions
-            .at(version)
-            .map(|inner| Snapshot { inner })
     }
 
     /// Stop accepting, drain every queued request, join the worker and
@@ -808,45 +744,15 @@ impl ServeClient {
             .health_view(self.shared.accepting.load(Ordering::SeqCst))
     }
 
-    /// Drain the commit log (`record_commit_log` only), normalized to
-    /// commit order. Like [`ServeClient::stats`], exact once the server
-    /// has shut down.
+    /// Drain the commit log (`record_commit_log` only), in commit order.
+    /// Like [`ServeClient::stats`], exact once the server has shut down.
     pub fn take_commit_log(&self) -> Vec<LogEntry> {
         take_log_of(&self.shared)
-    }
-
-    /// The newest published MVCC version id (see
-    /// [`RcServe::latest_version`]).
-    pub fn latest_version(&self) -> Option<u64> {
-        self.shared.versions.latest().map(|v| v.version)
-    }
-
-    /// Pin the newest published version (see
-    /// [`RcServe::snapshot_latest`]).
-    pub fn snapshot_latest(&self) -> Option<Snapshot> {
-        self.shared
-            .versions
-            .latest()
-            .map(|inner| Snapshot { inner })
-    }
-
-    /// Pin the retained version stamped `version` (see
-    /// [`RcServe::snapshot_at`]).
-    pub fn snapshot_at(&self, version: u64) -> Option<Snapshot> {
-        self.shared
-            .versions
-            .at(version)
-            .map(|inner| Snapshot { inner })
     }
 }
 
 fn take_log_of(shared: &Shared) -> Vec<LogEntry> {
-    let mut log = std::mem::take(&mut *shared.log.lock().unwrap_or_else(|e| e.into_inner()));
-    // Pipelined epochs append their query entries when the query phase
-    // completes, which can land after a later epoch's update entries —
-    // normalize to commit order (epoch, updates-before-queries, seq).
-    log.sort_unstable_by_key(|e| (e.epoch, !e.request.is_update(), e.seq));
-    log
+    std::mem::take(&mut *shared.log.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
 fn stats_of(shared: &Shared) -> ServeStats {
@@ -891,88 +797,9 @@ struct Worker {
     /// The durability store, when this server was started with
     /// [`RcServe::start_durable`].
     store: Option<Store>,
-    /// Pipelined mode: sender half of the bounded query-job channel
-    /// (capacity `pipeline_depth - 1`, so a blocked `send` is the
-    /// back-pressure that caps in-flight query phases at
-    /// `pipeline_depth`). `None` at depth 0.
-    qtx: Option<SyncSender<QueryJob>>,
-    qworker: Option<JoinHandle<()>>,
-    /// The last state-changing committed epoch — the version id the next
-    /// query phase must observe (trailing no-op epochs keep it).
-    state_version: u64,
-    /// Journaled change records of recent epochs, newest last: the
-    /// catch-up feed for recycled version buffers.
-    recent: VecDeque<(u64, Vec<FlushRecord>)>,
-    /// Every state-changing epoch `> records_floor` is present in
-    /// `recent`; a reclaimed buffer older than the floor cannot catch up
-    /// and is dropped instead.
-    records_floor: u64,
-    /// Reclaimed version buffers awaiting catch-up + republication.
-    spares: Vec<ShadowBuf>,
-    /// Evicted versions whose buffers may still be pinned by snapshots
-    /// or an in-flight query phase; reclaimed once the last pin drops.
-    evicted: Vec<Arc<PublishedVersion>>,
-    /// Set when a compaction failure poisoned the store: the epoch
-    /// itself committed, so the flight-recorder dump freezes only after
-    /// the in-flight query phase drains at loop exit.
-    poisoned_epoch: Option<u64>,
-}
-
-/// A reclaimed forest buffer holding the state of `version`, waiting to
-/// be caught up to the current state and republished.
-struct ShadowBuf {
-    version: u64,
-    forest: ServeForest,
-}
-
-/// One epoch's query phase, handed to the executor thread together with
-/// the published version it must observe.
-struct QueryJob {
-    epoch: u64,
-    version: Arc<PublishedVersion>,
-    queries: Vec<Pending>,
-    /// Update-side stats; the executor fills `query_ns`/`handoff_ns`
-    /// (true executor-side timings) and books it.
-    stats: EpochStats,
-    /// When the worker handed the job over — pickup minus this is the
-    /// handoff latency.
-    dispatched: Instant,
-    /// The epoch's update-side span layout (drain/admit/commit/wal/
-    /// publish durations + the epoch start instant); the executor adds
-    /// handoff/query and captures the query traces against it. Its
-    /// `epoch_start` also stamps the epoch's wall time.
-    layout: SpanLayout,
 }
 
 impl Worker {
-    fn new(shared: Arc<Shared>, store: Option<Store>, first_epoch: u64) -> Self {
-        let depth = shared.cfg.pipeline_depth;
-        let (qtx, qworker) = if depth > 0 {
-            let (tx, rx) = mpsc::sync_channel::<QueryJob>(depth - 1);
-            let exec_shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name("rc-serve-query".into())
-                .spawn(move || query_executor(exec_shared, rx))
-                .expect("spawn rc-serve query executor");
-            (Some(tx), Some(handle))
-        } else {
-            (None, None)
-        };
-        Worker {
-            shared,
-            epoch: first_epoch,
-            store,
-            qtx,
-            qworker,
-            state_version: first_epoch,
-            recent: VecDeque::new(),
-            records_floor: first_epoch,
-            spares: Vec::new(),
-            evicted: Vec::new(),
-            poisoned_epoch: None,
-        }
-    }
-
     fn run(mut self, mut forest: ServeForest) -> ServeForest {
         loop {
             self.shared.tel.set_worker_phase(PHASE_IDLE);
@@ -1009,28 +836,15 @@ impl Worker {
             }
         }
         self.shared.tel.set_worker_phase(PHASE_IDLE);
-        // Stop the query executor: dropping the sender ends its receive
-        // loop; joining guarantees every dispatched epoch has released
-        // its responses and booked its stats before shutdown returns.
-        drop(self.qtx.take());
-        if let Some(h) = self.qworker.take() {
-            h.join().expect("rc-serve query executor panicked");
-        }
-        if let Some(epoch) = self.poisoned_epoch.take() {
-            // Every in-flight query phase has drained, so the poisoned
-            // epoch's trace is complete — freeze the postmortem now.
-            self.shared.tel.freeze(epoch);
-        }
         if let Some(store) = self.store.take() {
             // Clean shutdown must not lose an acknowledged epoch: flush
             // and fsync whatever tail the sync policy left pending.
             store.close().expect("flush + fsync WAL on shutdown");
         }
         if let Some(path) = &self.shared.cfg.calibration_path {
-            // Persist the learned cost table for a warm restart. Queries
-            // have all drained (the executor joined above), so the cells
-            // are final; a failed write only costs the next start its
-            // warm-up.
+            // Persist the learned cost table for a warm restart. Every
+            // query phase ran on this thread, so the cells are final; a
+            // failed write only costs the next start its warm-up.
             let _ = self.shared.dispatch.model.table().save(path);
         }
         forest
@@ -1160,8 +974,7 @@ impl Worker {
             return true;
         }
         self.epoch += 1;
-        let pipelined = self.qtx.is_some();
-        let (mut updates, queries): (Vec<Pending>, Vec<Pending>) =
+        let (updates, queries): (Vec<Pending>, Vec<Pending>) =
             batch.into_iter().partition(|p| p.request.is_update());
         let mut trace = EpochTrace {
             epoch: self.epoch,
@@ -1183,11 +996,11 @@ impl Worker {
             std::thread::sleep(self.shared.cfg.wedge_for);
         }
         let t0 = Instant::now();
-        // The journal feeds the WAL, in pipelined mode the
-        // published-version catch-up, and any commit-tap subscribers
-        // (the same batch groups, reused for all three).
+        // The journal feeds the WAL and any commit-tap subscribers (the
+        // same batch groups, reused for both); with neither, nothing is
+        // journaled.
         let tapped = self.shared.tapped.load(Ordering::SeqCst);
-        let mut phase = UpdatePhase::with_journal(self.store.is_some() || pipelined || tapped);
+        let mut phase = UpdatePhase::with_journal(self.store.is_some() || tapped);
         let mut update_results: Vec<Result<(), ForestError>> = Vec::with_capacity(updates.len());
         for p in &updates {
             update_results.push(phase.admit(forest, &p.request));
@@ -1201,9 +1014,8 @@ impl Worker {
         self.shared.tel.set_worker_phase(PHASE_WAL);
         let t_wal = Instant::now();
         // Durability barrier: the epoch's committed batches reach the WAL
-        // *before* any response slot fills or any query phase dispatches,
-        // so an acknowledged update — or a query answer released
-        // concurrently with later appends — is always backed by at least
+        // *before* any response slot fills, so an acknowledged update — or
+        // a query answer that observed it — is always backed by at least
         // a written (and, under per-epoch sync, fsynced) record.
         let mut store_failed = false;
         if let Some(store) = &mut self.store {
@@ -1268,48 +1080,29 @@ impl Worker {
             }
         }
         trace.wal_ns = t_wal.elapsed().as_nanos() as u64;
-        if store_failed {
-            // The epoch committed (its WAL append succeeded), but the
-            // store is poisoned: mark the trace and freeze the dump at
-            // loop exit, once any in-flight query phase has drained.
-            trace.failed = true;
-            self.poisoned_epoch = Some(self.epoch);
-        }
-        // MVCC bookkeeping: a state-changing epoch becomes the current
-        // version, and its batch groups join the catch-up feed.
-        if !journal.is_empty() {
-            self.state_version = self.epoch;
-            if tapped {
-                // Notify commit-tap subscribers after the durability
-                // barrier, before any response slot fills: a shipped
-                // record is never ahead of the leader's own store.
-                let event = CommitEvent {
+        // The epoch committed (its WAL append succeeded), but a poisoned
+        // store marks its trace failed; the dump freezes once the trace
+        // is complete, below.
+        trace.failed = store_failed;
+        if tapped && !journal.is_empty() {
+            // Notify commit-tap subscribers after the durability barrier,
+            // before any response slot fills: a shipped record is never
+            // ahead of the leader's own store.
+            let event = CommitEvent {
+                epoch: self.epoch,
+                record: Arc::new(EpochRecord {
                     epoch: self.epoch,
-                    record: Arc::new(EpochRecord {
-                        epoch: self.epoch,
-                        flushes: journal.clone(),
-                    }),
-                };
-                let mut taps = self.shared.taps.lock().unwrap_or_else(|e| e.into_inner());
-                taps.retain(|tx| tx.send(event.clone()).is_ok());
-            }
-            if pipelined {
-                self.recent.push_back((self.epoch, journal));
-                let cap =
-                    self.shared.cfg.retained_versions.max(1) + self.shared.cfg.pipeline_depth + 8;
-                while self.recent.len() > cap {
-                    let (e, _) = self.recent.pop_front().expect("len checked");
-                    self.records_floor = e;
-                }
-            }
+                    flushes: journal,
+                }),
+            };
+            let mut taps = self.shared.taps.lock().unwrap_or_else(|e| e.into_inner());
+            taps.retain(|tx| tx.send(event.clone()).is_ok());
         }
         let update_ns = t0.elapsed().as_nanos() as u64;
-        let flushes = phase.flushes;
-        trace.flushes = flushes as u32;
-        let updates_len = updates.len();
+        trace.flushes = phase.flushes as u32;
         // Span layout for this epoch's request traces: the update-side
-        // phases every request rode through. The query paths extend it
-        // with publish/handoff/query durations below.
+        // phases every request rode through; the query phase adds its
+        // fan-out duration below.
         let mut layout = SpanLayout::new(self.epoch, epoch_start);
         layout.drain_ns = drain_ns;
         layout.admit_ns = trace.admit_ns;
@@ -1336,95 +1129,24 @@ impl Worker {
             );
         }
         trace.respond_ns = t_respond.elapsed().as_nanos() as u64;
-        // Update entries log immediately — phase-concurrent with any
-        // in-flight query phase of an earlier epoch (take_commit_log
-        // re-sorts into commit order).
-        if self.shared.cfg.record_commit_log {
-            let mut log = self.shared.log.lock().unwrap_or_else(|e| e.into_inner());
-            for (p, r) in updates.drain(..).zip(update_results) {
-                log.push(LogEntry {
-                    epoch: self.epoch,
-                    seq: p.seq,
-                    request: p.request,
-                    response: Response::Updated(r),
-                    version: self.epoch,
-                });
-            }
-        }
 
-        let mut stats = EpochStats {
-            epoch: self.epoch,
-            batch: updates_len + queries.len(),
-            queue_depth,
-            updates: updates_len,
-            queries: queries.len(),
-            flushes,
-            update_ns,
-            query_ns: 0,
-            handoff_ns: 0,
-            version_after: forest.version(),
-            snapshot_version: if pipelined {
-                self.state_version
-            } else {
-                self.epoch
-            },
-        };
-
-        // ---- query phase ----
-        if queries.is_empty() {
-            trace.epoch_wall_ns = epoch_start.elapsed().as_nanos() as u64;
-            self.shared.tel.record_trace(trace);
-            book_epoch(&self.shared, stats);
-            return !store_failed;
-        }
-        if pipelined {
-            // Publish the committed state and hand the query set over;
-            // `send` blocks once `pipeline_depth` phases are in flight —
-            // that back-pressure is what keeps updates from running
-            // unboundedly ahead of query completion.
-            self.shared.tel.set_worker_phase(PHASE_PUBLISH);
-            let t_pub = Instant::now();
-            let (version, recycle) = self.ensure_published(forest);
-            trace.publish_ns = t_pub.elapsed().as_nanos() as u64;
-            trace.recycle = recycle;
-            layout.publish_ns = trace.publish_ns;
-            self.shared.tel.set_worker_phase(PHASE_DISPATCH);
-            let dispatched = Instant::now();
-            let job = QueryJob {
-                epoch: self.epoch,
-                version,
-                queries,
-                stats,
-                dispatched,
-                layout,
-            };
-            self.qtx
-                .as_ref()
-                .expect("pipelined")
-                .send(job)
-                .expect("query executor outlives the worker loop");
-            // How long the send blocked = the pipeline's back-pressure
-            // on this worker (also inside the executor's handoff window,
-            // which is why phase_sum_ns leaves it out).
-            trace.backpressure_ns = dispatched.elapsed().as_nanos() as u64;
-            self.shared.tel.record_half(trace);
-            return !store_failed;
-        }
+        // ---- query phase: the live forest, as this epoch committed it ----
         self.shared.tel.set_worker_phase(PHASE_QUERY);
         let t1 = Instant::now();
         let refs: Vec<&Request> = queries.iter().map(|p| &p.request).collect();
-        let (responses, fam) = answer_requests_timed(forest, &refs, Some(&self.shared.dispatch));
-        stats.query_ns = t1.elapsed().as_nanos() as u64;
-        trace.query_ns = stats.query_ns;
+        let (query_responses, fam) =
+            answer_requests_timed(forest, &refs, Some(&self.shared.dispatch));
+        let query_ns = t1.elapsed().as_nanos() as u64;
+        trace.query_ns = query_ns;
         trace.family_ns = fam.ns;
         trace.family_counts = fam.counts;
         trace.family_engine = fam.engine;
         trace.family_predicted_ns = fam.predicted_ns;
         trace.family_explored = fam.explored;
-        layout.query_ns = stats.query_ns;
+        layout.query_ns = query_ns;
         self.shared.tel.set_worker_phase(PHASE_RESPOND);
         let t_respond = Instant::now();
-        for (p, r) in queries.iter().zip(&responses) {
+        for (p, r) in queries.iter().zip(&query_responses) {
             let e2e = p.submitted.elapsed().as_nanos() as u64;
             self.shared.hist.record(e2e);
             p.slot.fill(r.clone());
@@ -1441,186 +1163,51 @@ impl Worker {
         trace.respond_ns += t_respond.elapsed().as_nanos() as u64;
         trace.epoch_wall_ns = epoch_start.elapsed().as_nanos() as u64;
         self.shared.tel.record_trace(trace);
-        book_epoch(&self.shared, stats);
-        if self.shared.cfg.record_commit_log {
-            let mut log = self.shared.log.lock().unwrap_or_else(|e| e.into_inner());
-            for (p, r) in queries.into_iter().zip(responses) {
-                log.push(LogEntry {
-                    epoch: self.epoch,
-                    seq: p.seq,
-                    request: p.request,
-                    response: r,
-                    version: self.epoch,
-                });
-            }
-        }
-        !store_failed
-    }
-
-    /// The published version carrying `state_version`'s state, publishing
-    /// a fresh buffer when the table's newest is older. Also reports how
-    /// the buffer was obtained, for the flight recorder.
-    fn ensure_published(&mut self, live: &ServeForest) -> (Arc<PublishedVersion>, RecycleOutcome) {
-        let target = self.state_version;
-        if let Some(latest) = self.shared.versions.latest() {
-            if latest.version == target {
-                return (latest, RecycleOutcome::None);
-            }
-            debug_assert!(latest.version < target, "versions advance monotonically");
-        }
-        // Reclaim evicted buffers whose last pin has dropped.
-        for arc in std::mem::take(&mut self.evicted) {
-            match Arc::try_unwrap(arc) {
-                Ok(pv) => self.spares.push(ShadowBuf {
-                    version: pv.version,
-                    forest: pv.forest,
-                }),
-                Err(arc) => self.evicted.push(arc),
-            }
-        }
-        // The newest reclaimable spare needs the fewest catch-up records;
-        // one older than the record floor can never catch up — drop it.
-        self.spares.sort_unstable_by_key(|b| b.version);
-        let (forest, outcome) = loop {
-            match self.spares.pop() {
-                Some(mut buf) if buf.version >= self.records_floor => {
-                    for (e, flushes) in &self.recent {
-                        if *e > buf.version {
-                            debug_assert!(*e <= target, "records never lead the version");
-                            for f in flushes {
-                                apply_flush(&mut buf.forest, f);
-                            }
-                        }
-                    }
-                    break (buf.forest, RecycleOutcome::CaughtUp);
-                }
-                Some(_) => continue,
-                // No reclaimable buffer: clone the live forest — the
-                // O(n) cold-start path; steady state cycles buffers
-                // through journal catch-up instead.
-                None => break (live.clone(), RecycleOutcome::Cloned),
-            }
-        };
-        // Full-state oracle, debug builds only: canonical extraction is
-        // far too slow for the hot path, but pins catch-up replay to the
-        // live commit sequence exactly.
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            forest.export_state(),
-            live.export_state(),
-            "published version {target} diverges from the live forest"
+        book_epoch(
+            &self.shared,
+            EpochStats {
+                epoch: self.epoch,
+                batch: updates.len() + queries.len(),
+                queue_depth,
+                updates: updates.len(),
+                queries: queries.len(),
+                flushes: phase.flushes,
+                update_ns,
+                query_ns,
+                version_after: forest.version(),
+            },
         );
-        let arc = Arc::new(PublishedVersion {
-            version: target,
-            forest,
-        });
-        let evicted = self
-            .shared
-            .versions
-            .publish(Arc::clone(&arc), self.shared.cfg.retained_versions);
-        self.evicted.extend(evicted);
-        (arc, outcome)
-    }
-}
-
-/// Replay one journaled flush onto a version buffer — exactly the batch
-/// calls the live flush made, in the same order.
-fn apply_flush(forest: &mut ServeForest, f: &FlushRecord) {
-    if !f.links.is_empty() || !f.cuts.is_empty() {
-        forest
-            .batch_update_unchecked(&f.links, &f.cuts)
-            .expect("journaled batches replay on the version buffer");
-    }
-    if !f.eweights.is_empty() {
-        forest
-            .update_edge_weights(&f.eweights)
-            .expect("journaled edge weights replay");
-    }
-    if !f.vweights.is_empty() {
-        let vw: Vec<(u32, ServeVertexWeight)> = f
-            .vweights
-            .iter()
-            .map(|&(v, weight, marked)| (v, ServeVertexWeight { weight, marked }))
-            .collect();
-        forest
-            .update_vertex_weights(&vw)
-            .expect("journaled vertex weights replay");
-    }
-}
-
-/// The query-executor half of the pipeline: one [`QueryJob`] per epoch
-/// (channel capacity enforces the depth), each swept against its pinned
-/// published version while the worker commits later epochs. Releases
-/// responses, records latencies, books stats and commit-log entries.
-fn query_executor(shared: Arc<Shared>, rx: Receiver<QueryJob>) {
-    while let Ok(mut job) = rx.recv() {
-        shared.tel.set_exec_phase(PHASE_QUERY);
-        let t = Instant::now();
-        // Query-side half of the epoch's trace; the worker recorded the
-        // update-side half, and record_half merges them (see
-        // crate::telemetry).
-        let mut trace = EpochTrace {
-            epoch: job.epoch,
-            handoff_ns: (t - job.dispatched).as_nanos() as u64,
-            ..EpochTrace::default()
-        };
-        let refs: Vec<&Request> = job.queries.iter().map(|p| &p.request).collect();
-        let (responses, fam) =
-            answer_requests_timed(&job.version.forest, &refs, Some(&shared.dispatch));
-        // True executor-side timings — before the flight recorder these
-        // were accounted on the worker that handed the job off.
-        job.stats.query_ns = t.elapsed().as_nanos() as u64;
-        job.stats.handoff_ns = trace.handoff_ns;
-        trace.query_ns = job.stats.query_ns;
-        trace.family_ns = fam.ns;
-        trace.family_counts = fam.counts;
-        trace.family_engine = fam.engine;
-        trace.family_predicted_ns = fam.predicted_ns;
-        trace.family_explored = fam.explored;
-        let mut layout = job.layout;
-        layout.handoff_ns = trace.handoff_ns;
-        layout.query_ns = trace.query_ns;
-        shared.tel.set_exec_phase(PHASE_RESPOND);
-        let t_respond = Instant::now();
-        for (p, r) in job.queries.iter().zip(&responses) {
-            let e2e = p.submitted.elapsed().as_nanos() as u64;
-            shared.hist.record(e2e);
-            p.slot.fill(r.clone());
-            shared.tel.maybe_capture(
-                &layout,
-                p.seq,
-                p.submitted,
-                p.request.kind_name(),
-                family_index(&p.request),
-                p.sampled,
-                e2e,
+        if self.shared.cfg.record_commit_log {
+            // One thread appends every entry, epoch by epoch: the log is
+            // in commit order as written.
+            let epoch = self.epoch;
+            let responses = update_results
+                .into_iter()
+                .map(Response::Updated)
+                .chain(query_responses);
+            let mut log = self.shared.log.lock().unwrap_or_else(|e| e.into_inner());
+            log.extend(
+                updates
+                    .into_iter()
+                    .chain(queries)
+                    .zip(responses)
+                    .map(|(p, response)| LogEntry {
+                        epoch,
+                        seq: p.seq,
+                        request: p.request,
+                        response,
+                        version: epoch,
+                    }),
             );
         }
-        trace.respond_ns = t_respond.elapsed().as_nanos() as u64;
-        trace.epoch_wall_ns = layout.epoch_start.elapsed().as_nanos() as u64;
-        shared.tel.record_half(trace);
-        shared.tel.set_exec_phase(PHASE_IDLE);
-        shared.tel.exec_tick();
-        book_epoch(&shared, job.stats);
-        if shared.cfg.record_commit_log {
-            let mut log = shared.log.lock().unwrap_or_else(|e| e.into_inner());
-            for (p, r) in job.queries.into_iter().zip(responses) {
-                log.push(LogEntry {
-                    epoch: job.epoch,
-                    seq: p.seq,
-                    request: p.request,
-                    response: r,
-                    version: job.version.version,
-                });
-            }
+        if store_failed {
+            self.shared.tel.freeze(self.epoch);
         }
+        !store_failed
     }
 }
 
 /// Book one finished epoch into the aggregate stats + history ring.
-/// Called by the worker (update-only and strict-alternation epochs) or
-/// by the query executor (pipelined epochs, once the query phase
-/// completes) — never both for the same epoch.
 fn book_epoch(shared: &Shared, stats: EpochStats) {
     let mut s = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
     s.epochs += 1;

@@ -1,13 +1,12 @@
-//! Shared read-only query execution with adaptive per-family dispatch.
+//! Read-only query execution with adaptive per-family dispatch.
 //!
-//! Both halves of the pipelined coalescer run queries through this module
-//! — the epoch worker (inline, strict-alternation mode) and the query
-//! executor thread (pipelined mode, against a published immutable
-//! version) — as do client-held [`crate::Snapshot`]s. Everything here
-//! takes the forest by shared reference: the RC forest's batch query
-//! entry points are `&self` (scratch comes from an internal pool), which
-//! is exactly what lets a non-owning executor sweep version E while the
-//! worker mutates the live forest for epoch E+1.
+//! The epoch worker runs each epoch's query phase through this module,
+//! right after the epoch's updates commit, and replication followers
+//! answer reads against their replica through [`answer_read_only`].
+//! Everything here takes the forest by shared reference: the RC forest's
+//! batch query entry points are `&self` (scratch comes from an internal
+//! pool), so the independent engine can fan single queries out across
+//! the pool over one forest.
 //!
 //! Each family's fan-out can run on one of three engines over the same
 //! forest state (the paper's fig. 11 regimes — see
@@ -80,11 +79,11 @@ pub(crate) fn family_index(req: &Request) -> Option<usize> {
 }
 
 /// The per-epoch engine picker: a shared [`CostModel`] plus the
-/// configured [`DispatchMode`]. Cloned handles (it is all `Arc`s) live
-/// on the epoch worker and the query executor; observations feed the
-/// model in every mode, so even `AlwaysBatched` servers learn a table
-/// they can export or persist.
-#[derive(Clone, Debug)]
+/// configured [`DispatchMode`]. The epoch worker consults it; the model
+/// is shared (`Arc`) with the observability endpoint. Observations feed
+/// the model in every mode, so even `AlwaysBatched` servers learn a
+/// table they can export or persist.
+#[derive(Debug)]
 pub(crate) struct Dispatcher {
     pub(crate) model: Arc<CostModel>,
     pub(crate) mode: DispatchMode,
@@ -117,22 +116,14 @@ impl Dispatcher {
     }
 }
 
-/// Answer a slice of requests against `forest`, grouping queries by
-/// family into one batch call each. Update requests answer
-/// [`Response::Rejected`]: this executor is read-only by construction
-/// (the coalescer never routes updates here; snapshots may).
-pub(crate) fn answer_requests(forest: &ServeForest, requests: &[&Request]) -> Vec<Response> {
-    answer_requests_timed(forest, requests, None).0
-}
-
 /// Public read-only query fan-out over a caller-owned forest: the same
-/// one-batch-call-per-family execution the coalescer and [`crate::Snapshot`]s
-/// use, for callers that hold a forest outside any server — replication
-/// followers answer staleness-bounded reads against their replica
-/// through this. Update requests answer [`Response::Rejected`].
+/// one-batch-call-per-family execution the coalescer uses, for callers
+/// that hold a forest outside any server — replication followers answer
+/// staleness-bounded reads against their replica through this. Update
+/// requests answer [`Response::Rejected`].
 pub fn answer_read_only(forest: &ServeForest, requests: &[Request]) -> Vec<Response> {
     let refs: Vec<&Request> = requests.iter().collect();
-    answer_requests(forest, &refs)
+    answer_requests_timed(forest, &refs, None).0
 }
 
 /// Run one family's fan-out on the engine the dispatcher picks (batched
@@ -189,10 +180,12 @@ fn run_family<A: Sync>(
     }
 }
 
-/// [`answer_requests`] plus per-family timings + dispatch decisions for
-/// the flight recorder. With a [`Dispatcher`], each family's fan-out
-/// routes to the engine the cost model picks; without one, every family
-/// runs batched (snapshots, follower reads).
+/// Answer a slice of requests against `forest`, grouping queries by
+/// family into one fan-out each, and report per-family timings +
+/// dispatch decisions for the flight recorder. With a [`Dispatcher`],
+/// each family's fan-out routes to the engine the cost model picks;
+/// without one, every family runs batched (follower reads). Update
+/// requests answer [`Response::Rejected`]: this path is read-only.
 pub(crate) fn answer_requests_timed(
     forest: &ServeForest,
     requests: &[&Request],

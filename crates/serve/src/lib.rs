@@ -43,21 +43,16 @@
 //! the `serve_load` driver in `rc-bench` measures the coalescing speedup
 //! against it and records the trajectory in `BENCH_serve.json`.
 //!
-//! # Epoch pipelining & MVCC reads
+//! # Strict update→query alternation
 //!
-//! By default ([`ServeConfig::pipeline_depth`] = 1) the two phases of
-//! consecutive epochs *overlap*: after epoch E's updates commit, the
-//! worker publishes an immutable version-stamped copy of the forest and
-//! hands E's queries to a dedicated executor thread, then immediately
-//! drains and commits epoch E+1 while E's queries sweep the published
-//! version. Serializability is preserved in MVCC form — every query of
-//! epoch E observes exactly the epoch-E committed state, as stamped in
-//! the commit log ([`LogEntry::version`]). The same published versions
-//! back [`RcServe::snapshot_latest`] / [`RcServe::snapshot_at`]:
-//! client-pinned [`Snapshot`]s for consistent point-in-time multi-query
-//! reads, retained for [`ServeConfig::retained_versions`] publications.
-//! [`ServeConfig::coalesced`] (depth 0) restores strict phase
-//! alternation on the worker thread.
+//! One worker thread runs every phase of every epoch: it commits epoch
+//! E's updates (and appends them to the WAL when durable), then answers
+//! E's queries against the live forest before it drains epoch E+1. No
+//! copy of the forest is ever published or retained, and every query
+//! observes exactly the epoch-E committed state — the commit log stamps
+//! it with its own epoch ([`LogEntry::version`]). The epoch itself is
+//! the batch: the larger it grows, the more the `O(k log(1 + n/k))`
+//! bound amortizes.
 //!
 //! # Durability (optional)
 //!
@@ -94,7 +89,6 @@ mod exec;
 mod request;
 mod stats;
 mod telemetry;
-mod version;
 
 pub use agg::{PathSummary, ServeAgg, ServeForest, ServeVertexWeight};
 pub use coalescer::{CommitEvent, LogEntry, RcServe, ServeClient, ServeConfig};
@@ -105,7 +99,7 @@ pub use exec::answer_read_only;
 pub use rc_obs::{
     CalibrationTable, DispatchMode, DispatchStats, Engine, EpochTrace, ExemplarEntry, HealthView,
     HistogramSummary, MetricValue, MetricsSnapshot, ObsServer, ObsServerConfig, PhaseTotals,
-    RecycleOutcome, RequestTrace, Span, StallInfo, TraceDump, ENGINE_NAMES, FAMILY_NAMES,
+    RequestTrace, Span, StallInfo, TraceDump, ENGINE_NAMES, FAMILY_NAMES,
 };
 /// Durability knobs, re-exported from `rc-store`: pass a [`Durability`]
 /// to [`RcServe::start_durable`] to put a WAL + snapshot store under the
@@ -114,7 +108,6 @@ pub use rc_store::{RecoveryReport, StoreConfig as Durability, StoreError, SyncPo
 pub use request::{CptResult, Request, Response, ResponseHandle};
 pub use stats::{EpochStats, LatencyHistogram, LatencySummary, ServeStats};
 pub use telemetry::{StallReport, TelemetryDump};
-pub use version::Snapshot;
 
 #[cfg(test)]
 mod tests {
@@ -557,92 +550,6 @@ mod tests {
         let (server, _) = RcServe::start_durable(quick_cfg(), cfg(), None).unwrap();
         assert_eq!(server.shutdown().export_state(), want);
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn snapshots_pin_point_in_time_reads() {
-        let server = RcServe::start(path_forest(8), quick_cfg());
-        let c = server.client();
-        // A query phase forces publication of the current state.
-        assert_eq!(
-            c.call(Request::PathSum { u: 0, v: 7 }),
-            Response::Sum(Some(7))
-        );
-        let snap = server.snapshot_latest().expect("query phase published");
-        let v0 = snap.version();
-        // Mutate the live forest past the pinned version.
-        assert_eq!(
-            c.call(Request::Cut { u: 3, v: 4 }),
-            Response::Updated(Ok(()))
-        );
-        assert_eq!(c.call(Request::PathSum { u: 0, v: 7 }), Response::Sum(None));
-        let v1 = server.latest_version().expect("republished");
-        assert!(v1 > v0, "state-changing epoch advanced the version");
-        // The snapshot still answers the pre-cut state — consistently
-        // across a multi-query batch.
-        let rs = snap.query_many(&[
-            Request::Connected { u: 3, v: 4 },
-            Request::PathSum { u: 0, v: 7 },
-        ]);
-        assert_eq!(rs, vec![Response::Bool(true), Response::Sum(Some(7))]);
-        // Snapshots are read-only: updates answer Rejected.
-        assert_eq!(snap.query(&Request::Cut { u: 0, v: 1 }), Response::Rejected);
-        server.shutdown();
-        // A pinned snapshot stays valid after shutdown.
-        assert_eq!(
-            snap.query(&Request::PathSum { u: 0, v: 7 }),
-            Response::Sum(Some(7))
-        );
-    }
-
-    #[test]
-    fn at_version_respects_the_retention_window() {
-        let server = RcServe::start(
-            path_forest(8),
-            ServeConfig {
-                retained_versions: 1,
-                max_linger: Duration::from_micros(50),
-                ..ServeConfig::default()
-            },
-        );
-        let c = server.client();
-        assert_eq!(
-            c.call(Request::Connected { u: 0, v: 7 }),
-            Response::Bool(true)
-        );
-        let v0 = server.latest_version().unwrap();
-        assert!(server.snapshot_at(v0).is_some(), "newest is retained");
-        assert!(server.snapshot_at(v0 + 1).is_none(), "never published");
-        // A state change + query republishes; window 1 evicts v0.
-        assert_eq!(
-            c.call(Request::Cut { u: 0, v: 1 }),
-            Response::Updated(Ok(()))
-        );
-        assert_eq!(
-            c.call(Request::Connected { u: 0, v: 7 }),
-            Response::Bool(false)
-        );
-        let v1 = server.latest_version().unwrap();
-        assert!(v1 > v0);
-        assert!(
-            server.snapshot_at(v0).is_none(),
-            "evicted outside the retention window"
-        );
-        assert_eq!(server.snapshot_at(v1).unwrap().version(), v1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn strict_alternation_servers_never_publish() {
-        let server = RcServe::start(path_forest(8), ServeConfig::coalesced());
-        let c = server.client();
-        assert_eq!(
-            c.call(Request::Connected { u: 0, v: 7 }),
-            Response::Bool(true)
-        );
-        assert!(server.latest_version().is_none(), "depth 0: no MVCC table");
-        assert!(server.snapshot_latest().is_none());
-        server.shutdown();
     }
 
     #[test]

@@ -28,20 +28,11 @@ pub struct EpochStats {
     pub flushes: usize,
     /// Wall time of the update phase (admission + commit + WAL append).
     pub update_ns: u64,
-    /// True wall time of the query fan-out, measured on the thread that
-    /// ran it — the executor thread in pipelined mode, the worker under
-    /// strict alternation. (Before rc-obs this was mis-accounted on the
-    /// worker that handed the job off.)
+    /// Wall time of the query fan-out, which runs on the worker right
+    /// after the update phase, against the state this epoch committed.
     pub query_ns: u64,
-    /// Pipelined mode: dispatch-to-pickup latency of the query job on
-    /// the executor thread (0 when queries ran inline).
-    pub handoff_ns: u64,
     /// Forest version stamp after the epoch committed.
     pub version_after: u64,
-    /// MVCC version the epoch's queries observed: the last state-changing
-    /// epoch in pipelined mode (`<=` this epoch), the epoch itself under
-    /// strict alternation.
-    pub snapshot_version: u64,
 }
 
 /// Aggregate server statistics.

@@ -1,43 +1,31 @@
 //! The server's telemetry hub: one [`MetricsRegistry`] + one
 //! [`FlightRecorder`] per [`RcServe`](crate::RcServe), fed by the epoch
-//! worker, the query executor, and (when durable) the store.
-//!
-//! Pipelined epochs are recorded in two halves — the worker owns the
-//! update-side phase timings, the executor owns the query-side ones —
-//! and the halves meet here: whichever side finishes second merges the
-//! two (all fields are disjoint, so the merge is a field-wise sum) and
-//! publishes the completed [`EpochTrace`].
+//! worker and (when durable) the store. The worker runs every phase of
+//! an epoch, so it records each [`EpochTrace`] whole.
 
 use crate::coalescer::ServeConfig;
 use rc_obs::{
     Counter, EpochTrace, FlightRecorder, Gauge, HealthState, HealthView, Histogram,
-    MetricsRegistry, MetricsSnapshot, RecycleOutcome, RequestTrace, StallInfo, TraceDump,
-    TraceSink, ENGINE_NAMES, FAMILY_NAMES,
+    MetricsRegistry, MetricsSnapshot, RequestTrace, StallInfo, TraceDump, TraceSink, ENGINE_NAMES,
+    FAMILY_NAMES,
 };
 use rc_store::StoreMetrics;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Phase indices published by the worker/executor threads for the
-/// watchdog probe (index into [`PHASE_NAMES`]).
+/// Phase indices published by the worker thread for the watchdog probe
+/// (index into [`PHASE_NAMES`]).
 pub(crate) const PHASE_IDLE: usize = 0;
 pub(crate) const PHASE_DRAIN: usize = 1;
 pub(crate) const PHASE_ADMIT: usize = 2;
 pub(crate) const PHASE_WAL: usize = 3;
-pub(crate) const PHASE_PUBLISH: usize = 4;
-pub(crate) const PHASE_DISPATCH: usize = 5;
-pub(crate) const PHASE_QUERY: usize = 6;
-pub(crate) const PHASE_RESPOND: usize = 7;
-pub(crate) const PHASE_NAMES: [&str; 8] = [
-    "idle", "drain", "admit", "wal", "publish", "dispatch", "query", "respond",
-];
+pub(crate) const PHASE_QUERY: usize = 4;
+pub(crate) const PHASE_RESPOND: usize = 5;
+pub(crate) const PHASE_NAMES: [&str; 6] = ["idle", "drain", "admit", "wal", "query", "respond"];
 
-/// Per-epoch phase durations a request's trace spans are cut from. The
-/// worker fills the update-side fields; the executor copies the layout
-/// out of the [`QueryJob`](crate::coalescer) and adds the query-side
-/// ones before capturing query traces.
+/// Per-epoch phase durations a request's trace spans are cut from,
+/// filled in by the worker as the epoch's phases finish.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SpanLayout {
     pub(crate) epoch: u64,
@@ -46,8 +34,6 @@ pub(crate) struct SpanLayout {
     pub(crate) admit_ns: u64,
     pub(crate) commit_ns: u64,
     pub(crate) wal_ns: u64,
-    pub(crate) publish_ns: u64,
-    pub(crate) handoff_ns: u64,
     pub(crate) query_ns: u64,
 }
 
@@ -60,8 +46,6 @@ impl SpanLayout {
             admit_ns: 0,
             commit_ns: 0,
             wal_ns: 0,
-            publish_ns: 0,
-            handoff_ns: 0,
             query_ns: 0,
         }
     }
@@ -95,13 +79,11 @@ pub struct TelemetryDump {
     pub traces: Vec<EpochTrace>,
 }
 
-/// Per-server telemetry state shared by the worker and query-executor
-/// threads (via `Shared`).
+/// Per-server telemetry state shared by the worker thread and every
+/// reader (via `Shared`).
 pub(crate) struct ServeTelemetry {
     pub(crate) registry: MetricsRegistry,
     pub(crate) flight: FlightRecorder,
-    /// Halves of pipelined epochs waiting for their other half.
-    pending: Mutex<HashMap<u64, EpochTrace>>,
     /// The flight-recorder dump taken when the worker failed (WAL append
     /// or compaction error) — the postmortem for the rollback/poison
     /// paths.
@@ -115,17 +97,14 @@ pub(crate) struct ServeTelemetry {
     pub(crate) health: Arc<HealthState>,
     /// Stall postmortem frozen by the watchdog's one-shot callback.
     stall: Mutex<Option<StallReport>>,
-    /// Current worker/executor phases (indices into [`PHASE_NAMES`]) for
-    /// the watchdog probe.
+    /// Current worker phase (index into [`PHASE_NAMES`]) for the
+    /// watchdog probe.
     worker_phase: AtomicUsize,
-    exec_phase: AtomicUsize,
     /// Store metric handles when durable — lets `/traces` append the
     /// WAL append/fsync exemplars.
     store_metrics: OnceLock<StoreMetrics>,
     /// Epochs completed by the worker thread (monotone heartbeat).
     worker_heartbeat: Arc<Gauge>,
-    /// Query phases completed by the executor thread.
-    executor_heartbeat: Arc<Gauge>,
     stalls_total: Arc<Counter>,
     traces_sampled_total: Arc<Counter>,
     traces_slow_total: Arc<Counter>,
@@ -135,16 +114,11 @@ pub(crate) struct ServeTelemetry {
     updates_total: Arc<Counter>,
     queries_total: Arc<Counter>,
     flushes_total: Arc<Counter>,
-    recycle_caught_up_total: Arc<Counter>,
-    recycle_cloned_total: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     drain_ns: Arc<Histogram>,
     admit_ns: Arc<Histogram>,
     commit_ns: Arc<Histogram>,
     wal_ns: Arc<Histogram>,
-    publish_ns: Arc<Histogram>,
-    backpressure_ns: Arc<Histogram>,
-    handoff_ns: Arc<Histogram>,
     query_ns: Arc<Histogram>,
     respond_ns: Arc<Histogram>,
     epoch_wall_ns: Arc<Histogram>,
@@ -167,17 +141,14 @@ impl ServeTelemetry {
         registry.attach_histogram("serve_request_latency_ns", latency);
         ServeTelemetry {
             flight: FlightRecorder::new(cfg.flight_recorder),
-            pending: Mutex::new(HashMap::new()),
             failure: Mutex::new(None),
             sink: TraceSink::new(cfg.trace_ring, cfg.trace_ring),
             slow_threshold_ns: cfg.slow_request_threshold.as_nanos() as u64,
             health: Arc::new(HealthState::default()),
             stall: Mutex::new(None),
             worker_phase: AtomicUsize::new(PHASE_IDLE),
-            exec_phase: AtomicUsize::new(PHASE_IDLE),
             store_metrics: OnceLock::new(),
             worker_heartbeat: registry.gauge("serve_worker_heartbeat"),
-            executor_heartbeat: registry.gauge("serve_executor_heartbeat"),
             stalls_total: registry.counter("serve_stalls_total"),
             traces_sampled_total: registry.counter("serve_traces_sampled_total"),
             traces_slow_total: registry.counter("serve_traces_slow_total"),
@@ -187,16 +158,11 @@ impl ServeTelemetry {
             updates_total: registry.counter("serve_updates_total"),
             queries_total: registry.counter("serve_queries_total"),
             flushes_total: registry.counter("serve_flushes_total"),
-            recycle_caught_up_total: registry.counter("serve_recycle_caught_up_total"),
-            recycle_cloned_total: registry.counter("serve_recycle_cloned_total"),
             queue_depth: registry.gauge("serve_queue_depth"),
             drain_ns: registry.histogram("serve_phase_drain_ns"),
             admit_ns: registry.histogram("serve_phase_admit_ns"),
             commit_ns: registry.histogram("serve_phase_commit_ns"),
             wal_ns: registry.histogram("serve_phase_wal_ns"),
-            publish_ns: registry.histogram("serve_phase_publish_ns"),
-            backpressure_ns: registry.histogram("serve_backpressure_ns"),
-            handoff_ns: registry.histogram("serve_handoff_ns"),
             query_ns: registry.histogram("serve_phase_query_ns"),
             respond_ns: registry.histogram("serve_phase_respond_ns"),
             epoch_wall_ns: registry.histogram("serve_epoch_wall_ns"),
@@ -236,41 +202,26 @@ impl ServeTelemetry {
         self.worker_phase.store(phase, Ordering::Relaxed);
     }
 
-    pub(crate) fn set_exec_phase(&self, phase: usize) {
-        self.exec_phase.store(phase, Ordering::Relaxed);
-    }
-
     /// One epoch finished on the worker thread.
     pub(crate) fn worker_tick(&self) {
         self.worker_heartbeat.add(1);
     }
 
-    /// One query phase finished on the executor thread.
-    pub(crate) fn exec_tick(&self) {
-        self.executor_heartbeat.add(1);
-    }
-
-    /// Monotone progress counter for the watchdog probe: any completed
-    /// epoch or query phase advances it.
+    /// Monotone progress counter for the watchdog probe: every completed
+    /// epoch advances it.
     pub(crate) fn progress(&self) -> u64 {
-        self.worker_heartbeat.get() as u64 + self.executor_heartbeat.get() as u64
+        self.worker_heartbeat.get() as u64
     }
 
-    /// Is either thread mid-phase? (An idle server never stalls.)
+    /// Is the worker mid-phase? (An idle server never stalls.)
     pub(crate) fn phase_active(&self) -> bool {
         self.worker_phase.load(Ordering::Relaxed) != PHASE_IDLE
-            || self.exec_phase.load(Ordering::Relaxed) != PHASE_IDLE
     }
 
-    /// The phase to blame in a stall report: the worker's unless it is
-    /// idle, then the executor's.
+    /// The phase to blame in a stall report: the worker's current one.
     pub(crate) fn current_phase(&self) -> &'static str {
-        let w = self.worker_phase.load(Ordering::Relaxed);
-        if w != PHASE_IDLE {
-            return PHASE_NAMES[w.min(PHASE_NAMES.len() - 1)];
-        }
         PHASE_NAMES[self
-            .exec_phase
+            .worker_phase
             .load(Ordering::Relaxed)
             .min(PHASE_NAMES.len() - 1)]
     }
@@ -321,12 +272,6 @@ impl ServeTelemetry {
         push(&mut t, "commit", layout.commit_ns);
         if layout.wal_ns > 0 {
             push(&mut t, "wal", layout.wal_ns);
-        }
-        if layout.publish_ns > 0 {
-            push(&mut t, "publish", layout.publish_ns);
-        }
-        if layout.handoff_ns > 0 {
-            push(&mut t, "handoff", layout.handoff_ns);
         }
         if let Some(f) = family {
             push(&mut t, crate::exec::QUERY_SPAN_NAMES[f], layout.query_ns);
@@ -400,8 +345,8 @@ impl ServeTelemetry {
         (self.sink.sampled_total(), self.sink.slow_total())
     }
 
-    /// Publish one *complete* epoch trace: counters, phase histograms,
-    /// and the flight-recorder ring.
+    /// Publish one epoch trace: counters, phase histograms, and the
+    /// flight-recorder ring.
     pub(crate) fn record_trace(&self, t: EpochTrace) {
         self.epochs_total.inc();
         if t.failed {
@@ -411,25 +356,11 @@ impl ServeTelemetry {
         self.updates_total.add(t.updates as u64);
         self.queries_total.add(t.queries as u64);
         self.flushes_total.add(t.flushes as u64);
-        match t.recycle {
-            RecycleOutcome::None => {}
-            RecycleOutcome::CaughtUp => self.recycle_caught_up_total.inc(),
-            RecycleOutcome::Cloned => self.recycle_cloned_total.inc(),
-        }
         self.drain_ns.record(t.drain_ns);
         self.admit_ns.record(t.admit_ns);
         self.commit_ns.record(t.commit_ns);
         if t.wal_ns > 0 {
             self.wal_ns.record(t.wal_ns);
-        }
-        if t.publish_ns > 0 {
-            self.publish_ns.record(t.publish_ns);
-        }
-        if t.backpressure_ns > 0 {
-            self.backpressure_ns.record(t.backpressure_ns);
-        }
-        if t.handoff_ns > 0 {
-            self.handoff_ns.record(t.handoff_ns);
         }
         self.query_ns.record(t.query_ns);
         self.respond_ns.record(t.respond_ns);
@@ -450,26 +381,6 @@ impl ServeTelemetry {
         self.flight.record(t);
     }
 
-    /// Publish one *half* of a pipelined epoch's trace (the worker's
-    /// update side or the executor's query side). The halves fill
-    /// disjoint fields; whichever arrives second merges field-wise and
-    /// records the completed trace.
-    pub(crate) fn record_half(&self, half: EpochTrace) {
-        let merged = {
-            let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-            match pending.remove(&half.epoch) {
-                Some(other) => Some(merge_halves(other, half)),
-                None => {
-                    pending.insert(half.epoch, half);
-                    None
-                }
-            }
-        };
-        if let Some(t) = merged {
-            self.record_trace(t);
-        }
-    }
-
     /// The worker failed (WAL append error): record the failing epoch's
     /// partial trace, then freeze a dump for postmortems.
     pub(crate) fn note_failure(&self, failing: EpochTrace) {
@@ -479,9 +390,8 @@ impl ServeTelemetry {
     }
 
     /// Freeze the current flight-recorder contents as the failure dump
-    /// (the poisoned-compaction path calls this after the in-flight
-    /// query phase has drained, so the failing epoch's trace is
-    /// complete) and summarize on stderr.
+    /// (the poisoned-compaction path calls this once the failing epoch's
+    /// trace is recorded) and summarize on stderr.
     pub(crate) fn freeze(&self, failing_epoch: u64) {
         let dump = self.flight.dump();
         eprintln!(
@@ -526,51 +436,6 @@ impl ServeTelemetry {
     }
 }
 
-/// Field-wise union of the two halves of a pipelined epoch's trace.
-/// Every timing/count field is filled by exactly one side, so addition
-/// is the union; `recycle`/`failed` come from whichever side set them.
-fn merge_halves(a: EpochTrace, b: EpochTrace) -> EpochTrace {
-    debug_assert_eq!(a.epoch, b.epoch);
-    let mut t = EpochTrace {
-        epoch: a.epoch,
-        batch: a.batch + b.batch,
-        updates: a.updates + b.updates,
-        queries: a.queries + b.queries,
-        flushes: a.flushes + b.flushes,
-        queue_depth: a.queue_depth + b.queue_depth,
-        drain_ns: a.drain_ns + b.drain_ns,
-        admit_ns: a.admit_ns + b.admit_ns,
-        commit_ns: a.commit_ns + b.commit_ns,
-        wal_ns: a.wal_ns + b.wal_ns,
-        publish_ns: a.publish_ns + b.publish_ns,
-        backpressure_ns: a.backpressure_ns + b.backpressure_ns,
-        handoff_ns: a.handoff_ns + b.handoff_ns,
-        query_ns: a.query_ns + b.query_ns,
-        respond_ns: a.respond_ns + b.respond_ns,
-        epoch_wall_ns: a.epoch_wall_ns.max(b.epoch_wall_ns),
-        family_ns: [0; 8],
-        family_counts: [0; 8],
-        family_engine: [0; 8],
-        family_predicted_ns: [0; 8],
-        family_explored: a.family_explored | b.family_explored,
-        recycle: if a.recycle == RecycleOutcome::None {
-            b.recycle
-        } else {
-            a.recycle
-        },
-        failed: a.failed || b.failed,
-    };
-    for i in 0..8 {
-        t.family_ns[i] = a.family_ns[i] + b.family_ns[i];
-        t.family_counts[i] = a.family_counts[i] + b.family_counts[i];
-        // Only the query side records a family's engine/prediction —
-        // max/sum are both "take the set half".
-        t.family_engine[i] = a.family_engine[i].max(b.family_engine[i]);
-        t.family_predicted_ns[i] = a.family_predicted_ns[i] + b.family_predicted_ns[i];
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,49 +446,6 @@ mod tests {
             ..ServeConfig::default()
         };
         ServeTelemetry::new(&cfg, Arc::new(Histogram::default()))
-    }
-
-    #[test]
-    fn halves_merge_once_both_arrive() {
-        let tel = tel_with_flight(16);
-        let worker_half = EpochTrace {
-            epoch: 3,
-            batch: 10,
-            updates: 4,
-            drain_ns: 100,
-            admit_ns: 200,
-            commit_ns: 300,
-            recycle: RecycleOutcome::CaughtUp,
-            ..EpochTrace::default()
-        };
-        let exec_half = EpochTrace {
-            epoch: 3,
-            queries: 6,
-            handoff_ns: 50,
-            query_ns: 400,
-            respond_ns: 25,
-            epoch_wall_ns: 1_100,
-            ..EpochTrace::default()
-        };
-        tel.record_half(worker_half);
-        assert!(tel.flight.dump().is_empty(), "half alone is not recorded");
-        tel.record_half(exec_half);
-        let dump = tel.flight.dump();
-        assert_eq!(dump.len(), 1);
-        let t = dump[0];
-        assert_eq!(t.epoch, 3);
-        assert_eq!(t.batch, 10);
-        assert_eq!(t.updates, 4);
-        assert_eq!(t.queries, 6);
-        assert_eq!(t.drain_ns, 100);
-        assert_eq!(t.handoff_ns, 50);
-        assert_eq!(t.query_ns, 400);
-        assert_eq!(t.epoch_wall_ns, 1_100);
-        assert_eq!(t.recycle, RecycleOutcome::CaughtUp);
-        assert_eq!(t.phase_sum_ns(), 100 + 200 + 300 + 50 + 400 + 25);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("serve_epochs_total"), Some(1));
-        assert_eq!(snap.counter("serve_recycle_caught_up_total"), Some(1));
     }
 
     #[test]

@@ -153,7 +153,6 @@ fn endpoint_answers_over_tcp_under_durable_load() {
     let cfg = ServeConfig {
         drain_threshold: 64,
         max_linger: Duration::from_micros(200),
-        pipeline_depth: 1,
         ..ServeConfig::default()
     };
     let (server, _) = RcServe::start_durable(cfg, durability, Some(&boot)).expect("durable start");
@@ -196,7 +195,6 @@ fn endpoint_answers_over_tcp_under_durable_load() {
         "serve_requests_total",
         "serve_request_latency_ns",
         "serve_worker_heartbeat",
-        "serve_executor_heartbeat",
         "serve_traces_sampled_total",
     ] {
         assert!(names.iter().any(|m| m == required), "missing {required}");
@@ -273,7 +271,6 @@ fn sampled_trace_spans_are_causally_ordered_and_account_for_e2e() {
         ServeConfig {
             drain_threshold: 32,
             max_linger: Duration::from_micros(200),
-            pipeline_depth: 1,
             trace_sample: 1,
             trace_ring: 2048,
             ..ServeConfig::default()
@@ -319,7 +316,7 @@ fn sampled_trace_spans_are_causally_ordered_and_account_for_e2e() {
     }
     assert!(
         saw_deep_query,
-        "some pipelined query trace carries >= 6 spans incl. its family span"
+        "some query trace carries >= 6 spans incl. its family span"
     );
     // Exemplars point the latency histogram's octaves back at trace ids.
     assert!(

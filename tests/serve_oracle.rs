@@ -21,23 +21,9 @@ use rcforest::serve::{
 };
 use rcforest::{DynamicForest, ForestError, NaiveStdForest, RequestStream, RequestStreamConfig};
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Duration;
 
 const MAX_DEGREE: usize = 3;
-
-/// Canonical hash of the naive forest's full exported state — two equal
-/// hashes here are treated as "identical forest state" by the MVCC
-/// version-stamp audit.
-fn state_hash(nv: &NaiveStdForest) -> u64 {
-    let st = nv.export_state();
-    let mut h = DefaultHasher::new();
-    st.n.hash(&mut h);
-    st.edges.hash(&mut h);
-    st.weights.hash(&mut h);
-    st.marks.hash(&mut h);
-    h.finish()
-}
 
 struct Oracle {
     nv: NaiveStdForest,
@@ -304,31 +290,22 @@ fn run_oracle_mix(
     let mut epoch = 0u64;
     let mut repr_seen: HashMap<u32, u32> = HashMap::new();
     let mut seen_seqs = std::collections::HashSet::new();
-    // MVCC version-stamp audit: `hashes[E]` is the state hash after epoch
-    // E's updates committed (E = 0 is the initial build). A query stamped
-    // `version` must observe exactly its own epoch's committed state, so
-    // `hashes[version]` must equal the hash of the current replay state.
-    let mut hashes: HashMap<u64, u64> = HashMap::new();
-    let mut cur_hash: Option<u64> = Some(state_hash(&oracle.nv));
     for entry in &log {
         assert!(seen_seqs.insert(entry.seq), "seq {} duplicated", entry.seq);
         if entry.epoch != epoch {
-            let h = cur_hash.unwrap_or_else(|| state_hash(&oracle.nv));
-            hashes.insert(epoch, h);
-            cur_hash = Some(h);
             epoch = entry.epoch;
             repr_seen.clear();
         }
+        // Version-stamp audit: every response, update or query, observed
+        // exactly its own epoch's committed state — the replay state at
+        // this point of the log.
+        assert_eq!(
+            entry.version, entry.epoch,
+            "seq {} {:?} stamped with a foreign epoch",
+            entry.seq, entry.request
+        );
         if entry.request.is_update() {
-            assert_eq!(
-                entry.version, entry.epoch,
-                "update stamped with a foreign epoch (seq {})",
-                entry.seq
-            );
             let want = oracle.apply_update(&entry.request);
-            if want.is_ok() {
-                cur_hash = None; // state changed; recompute lazily
-            }
             assert_eq!(
                 entry.response,
                 Response::Updated(want.clone()),
@@ -338,29 +315,6 @@ fn run_oracle_mix(
                 entry.request
             );
         } else {
-            assert!(
-                entry.version <= entry.epoch,
-                "query stamp {} leads its epoch {}",
-                entry.version,
-                entry.epoch
-            );
-            let h_now = *cur_hash.get_or_insert_with(|| state_hash(&oracle.nv));
-            let h_stamp = if entry.version == entry.epoch {
-                h_now
-            } else {
-                *hashes.get(&entry.version).unwrap_or_else(|| {
-                    panic!(
-                        "query stamped unseen version {} (epoch {})",
-                        entry.version, entry.epoch
-                    )
-                })
-            };
-            assert_eq!(
-                h_stamp, h_now,
-                "epoch {} seq {}: stamped version {} holds a different state \
-                 than the epoch the query belongs to",
-                entry.epoch, entry.seq, entry.version
-            );
             oracle.check_query(entry, &mut repr_seen);
         }
     }
@@ -373,7 +327,7 @@ fn serializability_oracle_eight_threads_coalesced() {
         ServeConfig {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
-            ..ServeConfig::coalesced()
+            ..ServeConfig::default()
         },
         8,
         400,
@@ -382,15 +336,14 @@ fn serializability_oracle_eight_threads_coalesced() {
 }
 
 #[test]
-fn serializability_oracle_pipelined_query_heavy() {
-    // The pipeline's bread and butter: big query phases sweeping
-    // published versions while the worker commits later epochs. Every
-    // response must match naive replay of exactly its stamped version.
+fn serializability_oracle_query_heavy() {
+    // Big query phases answered right after each epoch's commit. Every
+    // response must match naive replay of exactly its stamped epoch.
     run_oracle_mix(
         ServeConfig {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         400,
@@ -400,14 +353,11 @@ fn serializability_oracle_pipelined_query_heavy() {
 }
 
 #[test]
-fn serializability_oracle_pipelined_update_heavy_depth2() {
-    // Update-heavy traffic at depth 2 starves the version table's reuse
-    // fast path (state changes almost every epoch) and keeps two query
-    // phases in flight — maximal pressure on buffer recycling + catch-up.
+fn serializability_oracle_update_heavy_every_epoch() {
+    // Update-heavy traffic with a 1 ms linger: state changes in almost
+    // every epoch, and each epoch's queries must observe exactly it.
     run_oracle_mix(
         ServeConfig {
-            pipeline_depth: 2,
-            retained_versions: 3,
             max_linger: Duration::from_millis(1),
             drain_threshold: 2_048,
             record_commit_log: true,
@@ -421,16 +371,16 @@ fn serializability_oracle_pipelined_update_heavy_depth2() {
 }
 
 #[test]
-fn serializability_oracle_pipelined_release_scale() {
-    // The acceptance-scale run: 100k+ operations through the pipelined
-    // server in release builds (debug builds shrink it — the per-publish
-    // full-state debug assert makes the large run minutes-slow).
+fn serializability_oracle_release_scale() {
+    // The acceptance-scale run: 100k+ operations through the default
+    // server in release builds (debug builds shrink it so plain
+    // `cargo test` stays quick).
     let ops_per_thread = if cfg!(debug_assertions) { 500 } else { 13_000 };
     run_oracle(
         ServeConfig {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         ops_per_thread,
@@ -500,7 +450,7 @@ fn serializability_oracle_adaptive_exploring_all_engines() {
             record_commit_log: true,
             explore_frac: 0.5,
             dispatch_mode: DispatchMode::Adaptive,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         300,
@@ -529,7 +479,7 @@ fn serializability_oracle_adaptive_release_scale() {
             record_commit_log: true,
             explore_frac: 0.2,
             dispatch_mode: DispatchMode::Adaptive,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         ops_per_thread,
@@ -548,7 +498,7 @@ fn serializability_oracle_adaptive_pinned_independent() {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
             dispatch_mode: DispatchMode::AlwaysIndependent,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         200,
@@ -566,7 +516,7 @@ fn serializability_oracle_adaptive_pinned_sequential() {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
             dispatch_mode: DispatchMode::AlwaysSequential,
-            ..ServeConfig::coalesced()
+            ..ServeConfig::default()
         },
         8,
         200,

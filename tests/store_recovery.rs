@@ -273,14 +273,14 @@ fn run_crash_scenario(sc: &Scenario) -> usize {
     total_ops
 }
 
-/// The pipelined durability-ordering test: queries of epoch E release
-/// concurrently with epoch E+1's WAL append, so an injected append
-/// failure mid-run must still leave a well-defined acknowledged prefix —
-/// every handle resolves (served or rejected, never hung), recovery
-/// reproduces exactly the logged updates, and no released query ever
-/// observed state beyond the durable prefix (its MVCC stamp proves it).
+/// The durability-ordering test under concurrent load: an injected WAL
+/// append failure mid-run must still leave a well-defined acknowledged
+/// prefix — every handle resolves (served or rejected, never hung),
+/// recovery reproduces exactly the logged updates, and no released query
+/// ever observed state beyond the durable prefix (its version stamp
+/// proves it).
 #[test]
-fn pipelined_wal_failure_preserves_acknowledged_prefix_under_overlap() {
+fn wal_failure_preserves_acknowledged_prefix_under_concurrent_load() {
     let n = 600usize;
     let threads = 6usize;
     let ops_per_thread = 400usize;
@@ -298,18 +298,16 @@ fn pipelined_wal_failure_preserves_acknowledged_prefix_under_overlap() {
     let probe = RequestStream::new_partitioned(stream_cfg.clone(), 0, threads);
     let initial = probe.initial_edges();
     let boot = ForestState::from_edges(n, &initial);
-    let dir = fresh_dir("pipelined-wal-fail");
+    let dir = fresh_dir("wal-fail-under-load");
     let mut durability = Durability::new(&dir, n);
     // Fail the WAL mid-run: the first 12 state-changing epochs append
-    // durably, the 13th append errors — while earlier epochs' query
-    // phases may still be releasing responses on the executor thread.
+    // durably, the 13th append errors while six clients keep submitting.
     durability.fail_appends_after = 12;
     let (server, report) = RcServe::start_durable(
         ServeConfig {
             max_linger: Duration::from_micros(100),
             drain_threshold: 64,
             max_epoch_ops: 128,
-            pipeline_depth: 2,
             record_commit_log: true,
             ..ServeConfig::default()
         },
@@ -370,8 +368,8 @@ fn pipelined_wal_failure_preserves_acknowledged_prefix_under_overlap() {
         oracle.export_state(),
         "recovered state diverges from the acknowledged prefix"
     );
-    // Overlapped release never outran durability: every query's MVCC
-    // stamp lies within the durable prefix.
+    // Release never outran durability: every query's stamp lies within
+    // the durable prefix, and it is the query's own epoch.
     for e in log.iter().filter(|e| !e.request.is_update()) {
         assert!(
             e.version <= last,
@@ -379,6 +377,11 @@ fn pipelined_wal_failure_preserves_acknowledged_prefix_under_overlap() {
             e.epoch,
             e.seq,
             e.version
+        );
+        assert_eq!(
+            e.version, e.epoch,
+            "query (seq {}) stamped with a foreign epoch",
+            e.seq
         );
     }
     let _ = std::fs::remove_dir_all(dir);

@@ -1,6 +1,5 @@
 //! Observability smoke oracle for the `rc-obs` + `rc-serve` telemetry
-//! path: drives a pipelined server under multi-threaded load, then
-//! checks that
+//! path: drives a server under multi-threaded load, then checks that
 //!
 //! 1. `Request::DumpTelemetry` round-trips a consistent dump through the
 //!    normal request path,
@@ -27,11 +26,10 @@ fn path_server(n: usize, cfg: ServeConfig) -> RcServe {
     RcServe::start(forest, cfg)
 }
 
-fn pipelined_cfg(flight: usize) -> ServeConfig {
+fn load_cfg(flight: usize) -> ServeConfig {
     ServeConfig {
         drain_threshold: 64,
         max_linger: Duration::from_micros(200),
-        pipeline_depth: 1,
         flight_recorder: flight,
         ..ServeConfig::default()
     }
@@ -113,7 +111,7 @@ fn parse_prometheus(text: &str) -> Vec<String> {
 #[test]
 fn dump_telemetry_round_trips_and_exports_parse() {
     let n = 512;
-    let server = path_server(n, pipelined_cfg(128));
+    let server = path_server(n, load_cfg(128));
     let client = server.client();
     let (threads, ops) = (4, 400);
     drive(&client, n, threads, ops);
@@ -179,42 +177,34 @@ fn phase_breakdown_covers_epoch_wall_time() {
     } else {
         0.75
     };
-    for pipeline_depth in [0usize, 1] {
-        let n = 512;
-        let server = path_server(
-            n,
-            ServeConfig {
-                pipeline_depth,
-                ..pipelined_cfg(256)
-            },
-        );
-        let client = server.client();
-        drive(&client, n, 4, 500);
-        server.shutdown();
+    let n = 512;
+    let server = path_server(n, load_cfg(256));
+    let client = server.client();
+    drive(&client, n, 4, 500);
+    server.shutdown();
 
-        let traces = client.flight_dump();
-        assert!(!traces.is_empty());
-        let totals = PhaseTotals::from_traces(&traces);
+    let traces = client.flight_dump();
+    assert!(!traces.is_empty());
+    let totals = PhaseTotals::from_traces(&traces);
+    assert!(
+        totals.coverage() >= threshold,
+        "phase coverage {:.3} below {threshold} \
+         (phase sum {} ns vs wall {} ns over {} epochs)",
+        totals.coverage(),
+        totals.phase_sum_ns(),
+        totals.wall_ns,
+        totals.epochs,
+    );
+    // The breakdown must also never over-account: each phase span is
+    // measured inside the epoch's wall interval, so the sum can only
+    // exceed the wall by timer jitter (10% + 100us slack).
+    for t in &traces {
         assert!(
-            totals.coverage() >= threshold,
-            "depth {pipeline_depth}: phase coverage {:.3} below {threshold} \
-             (phase sum {} ns vs wall {} ns over {} epochs)",
-            totals.coverage(),
-            totals.phase_sum_ns(),
-            totals.wall_ns,
-            totals.epochs,
+            t.phase_sum_ns() <= t.epoch_wall_ns + t.epoch_wall_ns / 10 + 100_000,
+            "phase sum {} ns over-accounts wall {} ns: {t:?}",
+            t.phase_sum_ns(),
+            t.epoch_wall_ns,
         );
-        // The breakdown must also never over-account: each phase span is
-        // measured inside the epoch's wall interval, so the sum can only
-        // exceed the wall by timer jitter (10% + 100us slack).
-        for t in &traces {
-            assert!(
-                t.phase_sum_ns() <= t.epoch_wall_ns + t.epoch_wall_ns / 10 + 100_000,
-                "phase sum {} ns over-accounts wall {} ns: {t:?}",
-                t.phase_sum_ns(),
-                t.epoch_wall_ns,
-            );
-        }
     }
 }
 

@@ -12,7 +12,7 @@ use rc_bench::serve_driver::{
 };
 use rc_bench::{scale, Table};
 use rc_gen::Arrival;
-use rc_serve::{DispatchMode, ServeConfig, SyncPolicy};
+use rc_serve::{ServeConfig, SyncPolicy};
 use std::fmt::Write as _;
 
 struct Row {
@@ -263,84 +263,6 @@ fn main() {
         );
     }
 
-    // Adaptive dispatch on a small-k-heavy mix: a tiny per-thread window
-    // keeps each epoch's per-family batch down to a handful of queries,
-    // where the batched engines' parallel setup dominates and the learned
-    // cost model should route to the cheap single-query engines. The same
-    // tape runs once with the model pinned to always-batched and once
-    // adaptive (20% exploration so the table fills fast) — the ratio is
-    // the payoff the profiler buys at small k.
-    let small_window = 8;
-    let small_k_stream = default_stream(n, 4242);
-    let small_k_run = |mode: DispatchMode, scratch: &mut Vec<_>| {
-        run_load_reusing(
-            &LoadSpec {
-                threads: top,
-                ops_per_thread,
-                window: small_window,
-                open_loop: false,
-                stream: small_k_stream.clone(),
-                server: ServeConfig {
-                    dispatch_mode: mode,
-                    explore_frac: 0.2,
-                    ..coalescing_policy(top, small_window)
-                },
-                durability: None,
-                obs_scrape: false,
-            },
-            scratch,
-        )
-    };
-    let batched_small_k = small_k_run(DispatchMode::AlwaysBatched, &mut scratch);
-    let adaptive_small_k = small_k_run(DispatchMode::Adaptive, &mut scratch);
-    let adaptive_ratio = adaptive_small_k.ops_per_sec / batched_small_k.ops_per_sec.max(1e-9);
-    let non_batched_decisions: u64 = (0..rc_serve::FAMILY_NAMES.len())
-        .map(|f| {
-            adaptive_small_k.dispatch.decisions[f][1] + adaptive_small_k.dispatch.decisions[f][2]
-        })
-        .sum();
-    let table_learned =
-        adaptive_small_k.cost_model_json.contains("\"ns_per_op\":") && non_batched_decisions > 0;
-    println!(
-        "adaptive vs always-batched on small-k mix (window {small_window}): {adaptive_ratio:.2}x \
-         ({:.0} ops/s adaptive vs {:.0} batched, {} non-batched decisions, {} explored)",
-        adaptive_small_k.ops_per_sec,
-        batched_small_k.ops_per_sec,
-        non_batched_decisions,
-        adaptive_small_k.dispatch.explored,
-    );
-    // Debug builds are too noisy for a throughput bound; CI's release run
-    // enforces both halves of the acceptance criterion: the model learned
-    // a real table (populated non-batched cells via exploration) and the
-    // adaptive run is at worst within noise of always-batched (on boxes
-    // with real parallelism it should win outright).
-    if cfg!(not(debug_assertions)) {
-        assert!(
-            table_learned,
-            "adaptive run never learned: no populated table cells or no \
-             non-batched decisions ({})",
-            adaptive_small_k.cost_model_json
-        );
-        assert!(
-            adaptive_ratio >= 0.8,
-            "adaptive dispatch lost more than 20% to always-batched on the \
-             small-k mix: {adaptive_ratio:.3}"
-        );
-    }
-    for (mode, r) in [
-        ("always_batched", &batched_small_k),
-        ("adaptive", &adaptive_small_k),
-    ] {
-        rows.push(Row {
-            mode,
-            loop_kind: "closed",
-            durability: "none",
-            offered: 0.0,
-            r: r.clone(),
-        });
-        print_row(&t, rows.last().unwrap());
-    }
-
     // Acceptance metrics: coalesced vs size-1 and the WAL tax, at the
     // top thread count.
     let tput = |mode: &str, loop_kind: &str, durability: &str| {
@@ -460,59 +382,6 @@ fn main() {
         json,
         "  \"tracing_overhead_ratio_at_{top}_threads\": {tracing_overhead_ratio:.4},"
     );
-    let _ = writeln!(
-        json,
-        "  \"adaptive_vs_batched_small_k_at_{top}_threads\": {adaptive_ratio:.3},"
-    );
-    // Adaptive-dispatch telemetry for the small-k run: where each family's
-    // queries were routed (decision fractions per engine) and the learned
-    // cost model itself — per-octave ns/op table plus the fitted
-    // per-family crossover points.
-    let _ = writeln!(json, "  \"dispatch\": {{");
-    let _ = writeln!(json, "    \"small_k_window\": {small_window},");
-    let _ = writeln!(json, "    \"explore_frac\": 0.2,");
-    let _ = writeln!(
-        json,
-        "    \"decisions\": {},",
-        adaptive_small_k.dispatch.total
-    );
-    let _ = writeln!(
-        json,
-        "    \"explored\": {},",
-        adaptive_small_k.dispatch.explored
-    );
-    let _ = writeln!(json, "    \"engine_fractions\": {{");
-    for (f, name) in rc_serve::FAMILY_NAMES.iter().enumerate() {
-        let comma = if f + 1 == rc_serve::FAMILY_NAMES.len() {
-            ""
-        } else {
-            ","
-        };
-        let d = &adaptive_small_k.dispatch.decisions[f];
-        let total = (d[0] + d[1] + d[2]) as f64;
-        let frac = |c: u64| {
-            if total > 0.0 {
-                c as f64 / total
-            } else {
-                0.0
-            }
-        };
-        let _ = writeln!(
-            json,
-            "      \"{name}\": {{\"batched\": {:.3}, \"independent\": {:.3}, \
-             \"sequential\": {:.3}}}{comma}",
-            frac(d[0]),
-            frac(d[1]),
-            frac(d[2]),
-        );
-    }
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(
-        json,
-        "    \"cost_model\": {}",
-        adaptive_small_k.cost_model_json
-    );
-    let _ = writeln!(json, "  }},");
     // Full telemetry for the coalesced closed-loop run at the top thread
     // count: the per-phase breakdown of where epoch wall time went, plus
     // the complete metrics snapshot (phase histograms, stall counters,

@@ -5,8 +5,8 @@
 
 use rc_gen::{Arrival, OpMix, RequestStream, RequestStreamConfig};
 use rc_serve::{
-    DispatchStats, Durability, EpochTrace, MetricsSnapshot, ObsServerConfig, PhaseTotals, RcServe,
-    Request, Response, ServeConfig, ServeForest, SyncPolicy,
+    Durability, EpochTrace, MetricsSnapshot, ObsServerConfig, PhaseTotals, RcServe, Request,
+    Response, ServeConfig, ServeForest, SyncPolicy,
 };
 use std::io::{Read as _, Write as _};
 use std::time::{Duration, Instant};
@@ -62,12 +62,6 @@ pub struct LoadResult {
     /// [`PhaseTotals::coverage`]: fraction of recorded epoch wall time
     /// the phase spans account for.
     pub phase_coverage: f64,
-    /// Cumulative adaptive-dispatch counters: per-(family, engine)
-    /// decisions and query counts plus the explore total.
-    pub dispatch: DispatchStats,
-    /// The learned cost model (per-octave table + crossover estimates)
-    /// as the `/costmodel` JSON body, captured after shutdown.
-    pub cost_model_json: String,
 }
 
 /// The default serving workload: a query-heavy mix over a Zipf-skewed
@@ -263,8 +257,6 @@ pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadR
     // Telemetry reads are direct shared-state accessors, valid after
     // shutdown — by which point every epoch's trace has been published.
     let snapshot = audit.metrics_snapshot();
-    let dispatch = audit.dispatch_stats();
-    let cost_model_json = audit.cost_model_json();
     audit.flight_dump_into(scratch);
     let phase = PhaseTotals::from_traces(scratch);
     let phase_coverage = phase.coverage();
@@ -300,7 +292,5 @@ pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadR
         snapshot,
         phase,
         phase_coverage,
-        dispatch,
-        cost_model_json,
     }
 }

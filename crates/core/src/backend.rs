@@ -90,11 +90,10 @@ pub trait DynamicForest {
 
     /// Cheap monotone version stamp: advances at least once per
     /// successful state-changing operation and never otherwise, so two
-    /// equal reads bracket an unchanged forest. This is the plumbing MVCC
-    /// consumers (the serve tier's pipelined epochs) use to tag published
-    /// read-only handles without hashing state. Backends that do not
-    /// track versions return `0`; consumers must treat `0` as "no
-    /// information", never as "unchanged".
+    /// equal reads bracket an unchanged forest without hashing state. The
+    /// serve tier records it per epoch (`EpochStats::version_after`).
+    /// Backends that do not track versions return `0`; consumers must
+    /// treat `0` as "no information", never as "unchanged".
     fn version(&self) -> u64 {
         0
     }
@@ -315,9 +314,9 @@ impl DynamicForest for RcForest<StdAgg> {
     }
 
     fn path_extrema(&mut self, u: Vertex, v: Vertex) -> Option<PathSummary> {
-        RcForest::batch_path_extrema(self, &[(u, v)])
-            .pop()
-            .flatten()
+        // One walk: min/max over a total order, like the sum, does not
+        // depend on evaluation order, so the walk's summary is exact.
+        self.path_aggregate(u, v)
     }
 
     fn lca(&mut self, u: Vertex, v: Vertex, r: Vertex) -> Option<Vertex> {
@@ -329,7 +328,7 @@ impl DynamicForest for RcForest<StdAgg> {
     }
 
     fn nearest_marked(&mut self, v: Vertex) -> Option<(u64, Vertex)> {
-        RcForest::batch_nearest_marked(self, &[v]).pop().flatten()
+        RcForest::nearest_marked(self, v)
     }
 
     fn batch_connected(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<bool> {

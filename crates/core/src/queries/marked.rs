@@ -109,8 +109,9 @@ impl<A: NearestMarkedAggregate> RcForest<A> {
 
     /// Single-query form of [`batch_nearest_marked`]: the nearest marked
     /// vertex to `v` as `(distance, vertex)`, with the same `None` and
-    /// tie-break contract. This is the entry point the serve tier's
-    /// independent/sequential dispatch engines use.
+    /// tie-break contract. It is a batch of one, so k calls cost k
+    /// sweeps; the serve tier's independent engine and the
+    /// `DynamicForest` impl call it.
     ///
     /// [`batch_nearest_marked`]: Self::batch_nearest_marked
     pub fn nearest_marked(&self, v: Vertex) -> Option<(u64, Vertex)> {

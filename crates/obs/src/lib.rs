@@ -17,13 +17,9 @@
 //!   with deterministic 1-in-N sampling ([`trace_sampled`]), an
 //!   always-capture slow-request ring, and latency [`Exemplars`]
 //!   linking histogram buckets back to trace ids.
-//! - [`CostModel`] — an online per-(family, engine, k-octave) query
-//!   cost profiler with epsilon-greedy exploration, a per-family
-//!   crossover estimator, and a CRC-framed [`CalibrationTable`] for
-//!   warm restarts; drives the serve tier's adaptive query dispatch.
 //! - [`ObsServer`] — an opt-in, zero-dep blocking TCP endpoint serving
-//!   `/metrics`, `/metrics.json`, `/health`, `/ready`, `/flight`,
-//!   `/traces`, and `/costmodel` over HTTP/1.0, plus a binary
+//!   `/metrics`, `/metrics.json`, `/health`, `/ready`, `/flight`, and
+//!   `/traces` over HTTP/1.0, plus a binary
 //!   `DUMP_TELEMETRY` frame protocol byte-compatible with the rc-store
 //!   WAL codec.
 //! - [`Watchdog`] — an epoch-stall detector that flips a shared
@@ -34,7 +30,6 @@
 //! paths; see the README "Observability" section for the metric-name
 //! table and measured overhead.
 
-mod costmodel;
 mod histogram;
 mod registry;
 mod reqtrace;
@@ -42,10 +37,6 @@ mod serve_http;
 mod trace;
 mod watchdog;
 
-pub use costmodel::{
-    k_octave, CalibrationTable, CostModel, Decision, DispatchMode, DispatchStats, Engine,
-    ENGINE_NAMES, NUM_ENGINES, NUM_FAMILIES, NUM_OCTAVES,
-};
 pub use histogram::{Histogram, HistogramSummary};
 pub use registry::{Counter, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use reqtrace::{
@@ -55,5 +46,5 @@ pub use reqtrace::{
 pub use serve_http::{
     epoch_trace_json, frame, HealthView, ObsServer, ObsServerConfig, ObsSource, DUMP_TELEMETRY_CMD,
 };
-pub use trace::{EpochTrace, FlightRecorder, PhaseTotals, FAMILY_NAMES};
+pub use trace::{Engine, EpochTrace, FlightRecorder, PhaseTotals, ENGINE_NAMES, FAMILY_NAMES};
 pub use watchdog::{HealthState, Probe, StallInfo, Watchdog, WatchdogConfig};

@@ -12,7 +12,6 @@
 //! | `/ready`        | readiness JSON; `503` while stalled/shutting down |
 //! | `/flight`       | flight-recorder dump ([`EpochTrace`] array)       |
 //! | `/traces`       | sampled + slow request traces ([`TraceDump`])     |
-//! | `/costmodel`    | adaptive-dispatch cost model ([`ObsSource::costmodel`]) |
 //!
 //! A connection whose first bytes are not an HTTP method is treated as a
 //! binary peer: one length-prefixed CRC-checked frame (byte-compatible
@@ -37,7 +36,7 @@ use std::time::Duration;
 
 use crate::registry::MetricsSnapshot;
 use crate::reqtrace::TraceDump;
-use crate::trace::{EpochTrace, FAMILY_NAMES};
+use crate::trace::{EpochTrace, ENGINE_NAMES, FAMILY_NAMES};
 
 /// Length-prefixed, CRC-checksummed frames — byte-compatible with the
 /// rc-store WAL codec (`len: u32 LE | crc32(payload): u32 LE | payload`)
@@ -181,13 +180,6 @@ pub trait ObsSource: Send + Sync {
     fn traces(&self) -> TraceDump;
     /// Liveness view.
     fn health(&self) -> HealthView;
-    /// The adaptive-dispatch cost model as JSON ([`/costmodel`]), or an
-    /// empty object when the source has no model (the default).
-    ///
-    /// [`/costmodel`]: crate::CostModel::to_json
-    fn costmodel(&self) -> String {
-        "{}".into()
-    }
 }
 
 /// Render one [`EpochTrace`] as a JSON object (used by `/flight`).
@@ -225,18 +217,13 @@ pub fn epoch_trace_json(t: &EpochTrace) -> String {
             "\"{}\":{{\"count\":{},\"ns\":{}",
             name, t.family_counts[i], t.family_ns[i]
         ));
-        // Dispatch fields appear only when the serve tier recorded an
-        // engine choice, keeping pre-dispatch traces byte-stable.
+        // The engine appears only when the serve tier recorded one,
+        // keeping pre-dispatch traces byte-stable.
         if t.family_engine[i] > 0 {
-            let engine = crate::costmodel::ENGINE_NAMES
+            let engine = ENGINE_NAMES
                 .get(t.family_engine[i] as usize - 1)
                 .unwrap_or(&"unknown");
-            out.push_str(&format!(
-                ",\"engine\":\"{}\",\"predicted_ns\":{},\"explored\":{}",
-                engine,
-                t.family_predicted_ns[i],
-                (t.family_explored >> i) & 1 == 1
-            ));
+            out.push_str(&format!(",\"engine\":\"{engine}\""));
         }
         out.push('}');
     }
@@ -421,13 +408,10 @@ fn handle_http(
         ),
         "/flight" => ("200 OK", "application/json", flight_json(&source.flight())),
         "/traces" => ("200 OK", "application/json", source.traces().to_json()),
-        "/costmodel" => ("200 OK", "application/json", source.costmodel()),
         _ => (
             "404 Not Found",
             "text/plain",
-            format!(
-                "no route {path}; try /metrics /metrics.json /health /ready /flight /traces /costmodel\n"
-            ),
+            format!("no route {path}; try /metrics /metrics.json /health /ready /flight /traces\n"),
         ),
     };
     write_http_full(&mut stream, status, ctype, &body, with_body)

@@ -25,6 +25,28 @@ pub const FAMILY_NAMES: [&str; 8] = [
     "cpt",
 ];
 
+/// Engine names, indexed by [`Engine::index`]: the `engine` label of the
+/// per-family serve series and the `engine` key in `/flight`.
+pub const ENGINE_NAMES: [&str; 2] = ["batched", "independent"];
+
+/// How a family's query fan-out ran over the committed forest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    /// One batch call for the whole family (shared marked sweep).
+    Batched,
+    /// One independent `O(log n)` single-query walk per query, under
+    /// `parallel_for`.
+    Independent,
+}
+
+impl Engine {
+    /// Index into [`ENGINE_NAMES`].
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Per-epoch phase timings and sizes. `Copy` with no heap so the
 /// flight-recorder ring can publish it through a seqlock.
 ///
@@ -64,15 +86,8 @@ pub struct EpochTrace {
     /// Per-family query counts, indexed by [`FAMILY_NAMES`].
     pub family_counts: [u32; 8],
     /// Per-family dispatch engine this epoch: 0 = family did not run,
-    /// else `1 + Engine::index()` (1 batched, 2 independent,
-    /// 3 sequential).
+    /// else `1 + Engine::index()` (1 batched, 2 independent).
     pub family_engine: [u8; 8],
-    /// Per-family predicted fan-out cost from the cost model, in ns
-    /// (0 when no prediction was available).
-    pub family_predicted_ns: [u64; 8],
-    /// Bitmask of families whose engine choice was an exploration
-    /// sample rather than the predicted-cheapest engine.
-    pub family_explored: u8,
     /// True if the epoch failed (WAL append error, compaction error);
     /// phase fields before the failure point are still valid.
     pub failed: bool,

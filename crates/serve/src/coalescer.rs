@@ -20,9 +20,11 @@
 //!    `batch_cut` / `batch_link` / weight updates — and admission resumes
 //!    against the fresh forest. Conflict-free traffic commits as one flush.
 //! 4. **Query phase** — on the same worker thread, against the live
-//!    forest, queries group by family and fan into one batch call each
-//!    (`batch_connected`, `batch_path_aggregate`, ...), sharing the
-//!    `O(k log(1 + n/k))` marked-sweep work across the epoch. The phases
+//!    forest, queries group by family. A family with enough queries in
+//!    the epoch fans into one batch call (`batch_connected`,
+//!    `batch_path_aggregate`, ...), sharing the `O(k log(1 + n/k))`
+//!    marked-sweep work; a smaller one runs independent single walks
+//!    (the per-family thresholds are in `exec.rs`). The phases
 //!    strictly alternate: epoch E+1 drains only after epoch E's queries
 //!    have answered, so every query observes exactly its own epoch's
 //!    committed state and is stamped with that epoch.
@@ -36,7 +38,7 @@
 //! at least written (and, under per-epoch sync, fsynced).
 
 use crate::agg::{ServeForest, ServeVertexWeight};
-use crate::exec::{answer_requests_timed, family_index, Dispatcher};
+use crate::exec::{answer_requests_timed, family_index, BATCH_MIN_K};
 use crate::request::{Request, Response, ResponseHandle, Slot};
 use crate::stats::{EpochStats, LatencyHistogram, ServeStats};
 use crate::telemetry::{
@@ -45,9 +47,8 @@ use crate::telemetry::{
 };
 use rc_core::{DynamicForest, ForestError, ForestState};
 use rc_obs::{
-    trace_sampled, CalibrationTable, CostModel, DispatchMode, DispatchStats, EpochTrace,
-    HealthView, MetricsSnapshot, ObsServer, ObsServerConfig, ObsSource, Probe, TraceDump, Watchdog,
-    WatchdogConfig,
+    trace_sampled, EpochTrace, HealthView, MetricsSnapshot, ObsServer, ObsServerConfig, ObsSource,
+    Probe, TraceDump, Watchdog, WatchdogConfig,
 };
 use rc_parlay::hashtable::edge_key;
 use rc_store::{EpochRecord, FlushRecord, RecoveryReport, Store, StoreConfig, StoreError};
@@ -106,23 +107,6 @@ pub struct ServeConfig {
     /// unhealthy and a [`StallReport`] postmortem freezes. `None`
     /// disables the watchdog.
     pub stall_deadline: Option<Duration>,
-    /// Per-family query dispatch policy: [`DispatchMode::Adaptive`]
-    /// (default) routes each epoch's per-family fan-out to the batched /
-    /// independent / sequential engine the online [`CostModel`] predicts
-    /// cheapest; the `Always*` modes pin one engine (baselines, tests).
-    /// Engine choice never changes any answer — only where the time
-    /// goes.
-    pub dispatch_mode: DispatchMode,
-    /// Fraction of adaptive dispatch decisions that *explore* (run the
-    /// least-observed engine to keep the cost table current) instead of
-    /// exploiting the predicted-cheapest engine. Rolled deterministically
-    /// from [`Self::trace_seed`]; clamped to `[0, 1]`.
-    pub explore_frac: f64,
-    /// Persist the learned calibration table here (CRC-framed, the
-    /// rc-store codec discipline) on clean shutdown, and warm-start from
-    /// it at startup when the file exists and decodes. `None` disables
-    /// persistence; a torn or stale-format file is ignored (cold start).
-    pub calibration_path: Option<std::path::PathBuf>,
     /// Fault injection for the watchdog tests: wedge the worker for
     /// [`Self::wedge_for`] at the start of each listed epoch ordinal
     /// (multiple entries exercise repeated stall/recover episodes).
@@ -148,9 +132,6 @@ impl Default for ServeConfig {
             slow_request_threshold: Duration::from_millis(100),
             trace_ring: 128,
             stall_deadline: None,
-            dispatch_mode: DispatchMode::Adaptive,
-            explore_frac: 0.05,
-            calibration_path: None,
             wedge_epochs: Vec::new(),
             wedge_for: Duration::ZERO,
         }
@@ -245,10 +226,6 @@ struct Shared {
     /// Fast path: set once the first tap subscribes, read per epoch
     /// without taking the `taps` lock.
     tapped: AtomicBool,
-    /// The adaptive-dispatch engine picker: shared cost model + mode.
-    /// The worker's query phase consults it; observations feed it in
-    /// every mode.
-    dispatch: Dispatcher,
 }
 
 /// A running coalescer: owns the forest on a dedicated worker thread.
@@ -312,17 +289,6 @@ impl RcServe {
     ) -> RcServe {
         let hist = Arc::new(LatencyHistogram::default());
         let tel = ServeTelemetry::new(&cfg, Arc::clone(&hist));
-        // The cost model shares the trace seed so a fixed-seed run
-        // replays the same explore/exploit schedule (and the oracle can
-        // pin it). A persisted calibration table warm-starts the cells;
-        // a missing or torn file is just a cold start.
-        let model = Arc::new(CostModel::new(cfg.explore_frac, cfg.trace_seed));
-        if let Some(path) = &cfg.calibration_path {
-            if let Some(table) = CalibrationTable::load(path) {
-                model.load_table(&table);
-            }
-        }
-        let dispatch = Dispatcher::new(model, cfg.dispatch_mode);
         if let Some(store) = &store {
             // The store created its metric handles at open; attach them
             // so snapshots carry WAL/snapshot/recovery series too, and
@@ -347,7 +313,6 @@ impl RcServe {
             tel,
             taps: Mutex::new(Vec::new()),
             tapped: AtomicBool::new(false),
-            dispatch,
             cfg,
         });
         let worker_shared = Arc::clone(&shared);
@@ -451,29 +416,6 @@ impl RcServe {
         self.shared.tel.traces()
     }
 
-    /// The adaptive-dispatch cost model — learned per-(family, engine,
-    /// k-octave) table, per-family crossover estimates, and decision
-    /// counters — as JSON (the `/costmodel` endpoint body).
-    pub fn cost_model_json(&self) -> String {
-        self.shared
-            .dispatch
-            .model
-            .to_json(self.shared.cfg.dispatch_mode.name())
-    }
-
-    /// Cumulative dispatch counters: per-(family, engine) decision and
-    /// query counts plus the explore total.
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        self.shared.dispatch.model.dispatch_stats()
-    }
-
-    /// Snapshot of the learned calibration table (persistable via
-    /// [`rc_obs::CalibrationTable::save`] even without
-    /// [`ServeConfig::calibration_path`]).
-    pub fn calibration_table(&self) -> CalibrationTable {
-        self.shared.dispatch.model.table()
-    }
-
     /// The postmortem frozen by the epoch-stall watchdog, if a stall has
     /// ever been declared (requires [`ServeConfig::stall_deadline`]).
     pub fn stall_report(&self) -> Option<StallReport> {
@@ -491,8 +433,8 @@ impl RcServe {
     /// Start the live observability endpoint for this server: a
     /// zero-dependency blocking HTTP/1.0 listener answering `/metrics`
     /// (Prometheus text), `/metrics.json`, `/health`, `/ready`,
-    /// `/flight`, `/traces`, and `/costmodel` (the live adaptive-dispatch
-    /// cost table), plus the binary `DUMP_TELEMETRY` frame protocol. The endpoint holds only the shared telemetry state, so
+    /// `/flight`, and `/traces`, plus the binary `DUMP_TELEMETRY` frame
+    /// protocol. The endpoint holds only the shared telemetry state, so
     /// it keeps answering (unready) after shutdown until dropped.
     pub fn serve_obs(&self, cfg: ObsServerConfig) -> std::io::Result<ObsServer> {
         ObsServer::start(
@@ -578,13 +520,6 @@ impl ObsSource for ObsBridge {
         self.shared
             .tel
             .health_view(self.shared.accepting.load(Ordering::SeqCst))
-    }
-
-    fn costmodel(&self) -> String {
-        self.shared
-            .dispatch
-            .model
-            .to_json(self.shared.cfg.dispatch_mode.name())
     }
 }
 
@@ -723,20 +658,6 @@ impl ServeClient {
         self.shared.tel.stall_report()
     }
 
-    /// The adaptive-dispatch cost model as JSON (see
-    /// [`RcServe::cost_model_json`]).
-    pub fn cost_model_json(&self) -> String {
-        self.shared
-            .dispatch
-            .model
-            .to_json(self.shared.cfg.dispatch_mode.name())
-    }
-
-    /// Cumulative dispatch counters (see [`RcServe::dispatch_stats`]).
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        self.shared.dispatch.model.dispatch_stats()
-    }
-
     /// Liveness as `/health` reports it (see [`RcServe::health_view`]).
     pub fn health_view(&self) -> HealthView {
         self.shared
@@ -840,12 +761,6 @@ impl Worker {
             // Clean shutdown must not lose an acknowledged epoch: flush
             // and fsync whatever tail the sync policy left pending.
             store.close().expect("flush + fsync WAL on shutdown");
-        }
-        if let Some(path) = &self.shared.cfg.calibration_path {
-            // Persist the learned cost table for a warm restart. Every
-            // query phase ran on this thread, so the cells are final; a
-            // failed write only costs the next start its warm-up.
-            let _ = self.shared.dispatch.model.table().save(path);
         }
         forest
     }
@@ -1134,15 +1049,12 @@ impl Worker {
         self.shared.tel.set_worker_phase(PHASE_QUERY);
         let t1 = Instant::now();
         let refs: Vec<&Request> = queries.iter().map(|p| &p.request).collect();
-        let (query_responses, fam) =
-            answer_requests_timed(forest, &refs, Some(&self.shared.dispatch));
+        let (query_responses, fam) = answer_requests_timed(forest, &refs, &BATCH_MIN_K);
         let query_ns = t1.elapsed().as_nanos() as u64;
         trace.query_ns = query_ns;
         trace.family_ns = fam.ns;
         trace.family_counts = fam.counts;
         trace.family_engine = fam.engine;
-        trace.family_predicted_ns = fam.predicted_ns;
-        trace.family_explored = fam.explored;
         layout.query_ns = query_ns;
         self.shared.tel.set_worker_phase(PHASE_RESPOND);
         let t_respond = Instant::now();

@@ -14,8 +14,8 @@
 //!  clients ──submit──▶ sharded queue ──drain──▶ ┌───────── epoch ─────────┐
 //!    │                 (seq-stamped)            │ update phase (overlay + │
 //!    │◀─── oneshot ResponseHandle ──────────────│   batch_cut/batch_link) │
-//!                                               │ query phase (one batch  │
-//!                                               │   call per family)      │
+//!                                               │ query phase (batch call │
+//!                                               │   or single walks)      │
 //!                                               └─────────────────────────┘
 //! ```
 //!
@@ -23,8 +23,10 @@
 //! submission order (in-epoch conflicts — duplicate or contradictory
 //! link/cut pairs — are resolved exactly by that order via an overlay that
 //! flushes sub-batches only when a later op depends on an earlier one),
-//! then every query family fans into a single `O(k log(1 + n/k))`
-//! marked-sweep-backed batch call over the post-update forest.
+//! then every query family answers over the post-update forest: one
+//! `O(k log(1 + n/k))` marked-sweep batch call once the epoch holds
+//! enough of that family's queries, independent single walks below that
+//! measured per-family threshold.
 //!
 //! # Batching policy
 //!
@@ -97,9 +99,9 @@ pub use exec::answer_read_only;
 /// [`RcServe::metrics`] snapshot and [`RcServe::flight_dump`] trace is
 /// made of these (see the "Observability" section of the README).
 pub use rc_obs::{
-    CalibrationTable, DispatchMode, DispatchStats, Engine, EpochTrace, ExemplarEntry, HealthView,
-    HistogramSummary, MetricValue, MetricsSnapshot, ObsServer, ObsServerConfig, PhaseTotals,
-    RequestTrace, Span, StallInfo, TraceDump, ENGINE_NAMES, FAMILY_NAMES,
+    Engine, EpochTrace, ExemplarEntry, HealthView, HistogramSummary, MetricValue, MetricsSnapshot,
+    ObsServer, ObsServerConfig, PhaseTotals, RequestTrace, Span, StallInfo, TraceDump,
+    ENGINE_NAMES, FAMILY_NAMES,
 };
 /// Durability knobs, re-exported from `rc-store`: pass a [`Durability`]
 /// to [`RcServe::start_durable`] to put a WAL + snapshot store under the

@@ -125,11 +125,9 @@ pub(crate) struct ServeTelemetry {
     /// Per-(family, engine) fan-out wall time — the per-family timings
     /// split by which dispatch engine ran them
     /// (`serve_family_query_ns{family=...,engine=...}`).
-    family_engine_ns: [[Arc<Histogram>; 3]; 8],
-    /// Dispatch decisions per (family, engine).
-    dispatch_total: [[Arc<Counter>; 3]; 8],
-    /// Decisions that were exploration samples.
-    dispatch_explored_total: Arc<Counter>,
+    family_engine_ns: [[Arc<Histogram>; 2]; 8],
+    /// Fan-outs per (family, engine).
+    dispatch_total: [[Arc<Counter>; 2]; 8],
 }
 
 impl ServeTelemetry {
@@ -182,7 +180,6 @@ impl ServeTelemetry {
                     ))
                 })
             }),
-            dispatch_explored_total: registry.counter("serve_dispatch_explored_total"),
             registry,
         }
     }
@@ -261,13 +258,19 @@ impl ServeTelemetry {
             .epoch_start
             .saturating_duration_since(submitted)
             .as_nanos() as u64;
+        // A request submitted after the drain began (into a shard the
+        // drain had not merged yet) queued for no time and rode only the
+        // rest of the drain.
+        let joined_ns = submitted
+            .saturating_duration_since(layout.epoch_start)
+            .as_nanos() as u64;
         let mut cursor = 0u64;
         let mut push = |t: &mut RequestTrace, name: &'static str, dur: u64| {
             t.push_span(name, cursor, dur);
             cursor += dur;
         };
         push(&mut t, "queue", queue_ns);
-        push(&mut t, "drain", layout.drain_ns);
+        push(&mut t, "drain", layout.drain_ns.saturating_sub(joined_ns));
         push(&mut t, "admit", layout.admit_ns);
         push(&mut t, "commit", layout.commit_ns);
         if layout.wal_ns > 0 {
@@ -371,12 +374,9 @@ impl ServeTelemetry {
             if t.family_engine[i] == 0 {
                 continue;
             }
-            let e = (t.family_engine[i] as usize - 1).min(2);
+            let e = (t.family_engine[i] as usize - 1).min(1);
             self.family_engine_ns[i][e].record(t.family_ns[i]);
             self.dispatch_total[i][e].inc();
-            if (t.family_explored >> i) & 1 == 1 {
-                self.dispatch_explored_total.inc();
-            }
         }
         self.flight.record(t);
     }
@@ -466,5 +466,31 @@ mod tests {
         assert_eq!(dump.len(), 2);
         assert!(dump.iter().any(|t| t.epoch == 2 && t.failed));
         assert_eq!(tel.snapshot().counter("serve_failed_epochs_total"), Some(1));
+    }
+
+    #[test]
+    fn late_joiner_spans_partition_its_lifetime() {
+        // Submitted 3 ms into a 5 ms drain: no queue time, 2 ms of drain,
+        // and the spans still add up to the request's own lifetime.
+        let tel = tel_with_flight(8);
+        let epoch_start = Instant::now();
+        let mut layout = SpanLayout::new(1, epoch_start);
+        layout.drain_ns = 5_000_000;
+        layout.admit_ns = 1_000_000;
+        layout.commit_ns = 1_000_000;
+        let submitted = epoch_start + std::time::Duration::from_millis(3);
+        tel.maybe_capture(&layout, 0, submitted, "cut", None, true, 4_500_000);
+        let trace = tel.traces().recent[0];
+        let spans: Vec<(&str, u64)> = trace.spans().iter().map(|s| (s.name, s.dur_ns)).collect();
+        assert_eq!(
+            spans,
+            [
+                ("queue", 0),
+                ("drain", 2_000_000),
+                ("admit", 1_000_000),
+                ("commit", 1_000_000),
+                ("respond", 500_000),
+            ]
+        );
     }
 }

@@ -102,45 +102,6 @@ fn parse_prometheus(text: &str) -> Vec<String> {
 }
 
 #[test]
-fn calibration_table_warm_starts_a_restarted_server() {
-    let dir = std::env::temp_dir().join(format!("rc-costmodel-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("costmodel.rccm");
-    let n = 128;
-    let cfg = ServeConfig {
-        drain_threshold: 32,
-        max_linger: Duration::from_micros(200),
-        explore_frac: 0.5,
-        calibration_path: Some(path.clone()),
-        ..ServeConfig::default()
-    };
-
-    let server = path_server(n, cfg.clone());
-    let client = server.client();
-    drive(&client, n, 2, 200);
-    let learned = client.cost_model_json();
-    server.shutdown();
-    assert!(
-        learned.contains("\"ns_per_op\":"),
-        "first run never populated the model: {learned}"
-    );
-    assert!(path.exists(), "clean shutdown saves the calibration table");
-
-    // A fresh server pointed at the same path warm-starts: populated
-    // cells are visible before it serves a single request.
-    let server = path_server(n, cfg);
-    let warm = server.client().cost_model_json();
-    server.shutdown();
-    assert!(
-        warm.contains("\"ns_per_op\":"),
-        "restarted model is cold despite the saved table: {warm}"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn endpoint_answers_over_tcp_under_durable_load() {
     let dir = std::env::temp_dir().join(format!("rc-obs-endpoint-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -167,14 +128,7 @@ fn endpoint_answers_over_tcp_under_durable_load() {
     let scraper = std::thread::spawn(move || {
         let mut statuses = Vec::new();
         for _ in 0..3 {
-            for path in [
-                "/metrics",
-                "/health",
-                "/traces",
-                "/flight",
-                "/ready",
-                "/costmodel",
-            ] {
+            for path in ["/metrics", "/health", "/traces", "/flight", "/ready"] {
                 statuses.push((path, http_get(addr, path).0));
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -212,30 +166,13 @@ fn endpoint_answers_over_tcp_under_durable_load() {
         traces.contains("\"trace_id\":"),
         "no trace captured: {traces}"
     );
+    let (status, _) = http_get(addr, "/costmodel");
+    assert!(status.contains("404"), "{status}");
     let (_, flight) = http_get(addr, "/flight");
     assert!(flight.starts_with('[') && flight.contains("\"epoch\":"));
-    // Queried epochs record which engine the dispatcher ran per family.
+    // Queried epochs record which engine ran each family.
     assert!(flight.contains("\"engine\":\""), "{flight}");
-
-    // The cost model learned from the load just served: the table has
-    // populated cells and the decision counters moved.
-    let (status, costmodel) = http_get(addr, "/costmodel");
-    assert!(status.contains("200"), "{status}");
-    assert_eq!(
-        costmodel.matches('{').count(),
-        costmodel.matches('}').count()
-    );
-    assert!(costmodel.contains("\"mode\":\"adaptive\""), "{costmodel}");
-    assert!(costmodel.contains("\"ns_per_op\":"), "{costmodel}");
-    assert!(costmodel.contains("\"crossover_k\":"), "{costmodel}");
-    let decisions = costmodel
-        .split("\"decisions\":")
-        .nth(1)
-        .and_then(|rest| rest.split([',', '}']).next())
-        .and_then(|v| v.parse::<u64>().ok())
-        .expect("decision counter in /costmodel");
-    assert!(decisions > 0, "{costmodel}");
-    // The per-engine family series made it into the exposition too.
+    // The per-engine family series made it into the exposition.
     assert!(
         names.iter().any(|m| m == "serve_dispatch_total"),
         "labeled dispatch counters missing: {names:?}"

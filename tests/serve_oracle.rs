@@ -16,8 +16,8 @@
 //! `MissingEdge`, matching the raw core call).
 
 use rcforest::serve::{
-    CptResult, DispatchMode, DispatchStats, LogEntry, PathSummary, RcServe, Request, Response,
-    ServeConfig, ServeForest,
+    CptResult, LogEntry, MetricsSnapshot, PathSummary, RcServe, Request, Response, ServeConfig,
+    ServeForest,
 };
 use rcforest::{DynamicForest, ForestError, NaiveStdForest, RequestStream, RequestStreamConfig};
 use std::collections::HashMap;
@@ -210,27 +210,28 @@ impl Oracle {
 }
 
 /// Drive `threads` clients over partitioned streams, then replay the
-/// commit log against the oracle. Returns the server's cumulative
-/// dispatch counters so adaptive-dispatch tests can assert which
-/// engines actually ran (every engine must produce identical answers —
-/// that is what the replay checks).
-fn run_oracle(cfg: ServeConfig, threads: usize, ops_per_thread: usize, seed: u64) -> DispatchStats {
+/// commit log against the oracle.
+fn run_oracle(cfg: ServeConfig, threads: usize, ops_per_thread: usize, seed: u64) {
     run_oracle_mix(
         cfg,
         threads,
         ops_per_thread,
         seed,
         rcforest::OpMix::balanced(),
-    )
+    );
 }
 
+/// [`run_oracle`] over `mix`. Returns the server's final metrics
+/// snapshot, so a test can assert which engine ran each family's
+/// fan-outs (every engine must produce identical answers — that is what
+/// the replay checks).
 fn run_oracle_mix(
     cfg: ServeConfig,
     threads: usize,
     ops_per_thread: usize,
     seed: u64,
     mix: rcforest::OpMix,
-) -> DispatchStats {
+) -> MetricsSnapshot {
     let stream_cfg = RequestStreamConfig {
         forest: rcforest::ForestGenConfig {
             n: 1_500,
@@ -281,7 +282,7 @@ fn run_oracle_mix(
     // (shutdown) before draining it.
     let auditor = server.client();
     server.shutdown();
-    let dispatch_stats = auditor.dispatch_stats();
+    let metrics = auditor.metrics_snapshot();
     let log = auditor.take_commit_log();
     assert_eq!(log.len(), total, "every request committed exactly once");
 
@@ -318,7 +319,7 @@ fn run_oracle_mix(
             oracle.check_query(entry, &mut repr_seen);
         }
     }
-    dispatch_stats
+    metrics
 }
 
 #[test]
@@ -438,18 +439,17 @@ fn serializability_oracle_unbatched_baseline() {
 }
 
 #[test]
-fn serializability_oracle_adaptive_exploring_all_engines() {
-    // A 50% explore rate on small epochs forces every engine to run
-    // real traffic across the families; the replay proves the engine
-    // choice never changed a single answer.
-    let stats = run_oracle_mix(
+fn serializability_oracle_query_heavy_small_epochs() {
+    // Epochs of at most 64 requests keep every family below the walk
+    // families' batch thresholds and above subtree's and near's, so both
+    // engines carry real traffic; the replay proves neither changed a
+    // single answer.
+    let metrics = run_oracle_mix(
         ServeConfig {
             max_epoch_ops: 64,
             drain_threshold: 32,
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
-            explore_frac: 0.5,
-            dispatch_mode: DispatchMode::Adaptive,
             ..ServeConfig::default()
         },
         8,
@@ -457,28 +457,35 @@ fn serializability_oracle_adaptive_exploring_all_engines() {
         60_601,
         rcforest::OpMix::query_heavy(),
     );
-    assert!(stats.explored > 0, "50% exploration must fire: {stats:?}");
-    let per_engine: Vec<u64> = (0..3)
-        .map(|e| (0..8).map(|f| stats.decisions[f][e]).sum())
-        .collect();
-    assert!(
-        per_engine.iter().all(|&d| d > 0),
-        "every engine must carry real fan-outs under heavy exploration: {per_engine:?}"
-    );
+    let fan_outs = |family: &str, engine: &str| {
+        metrics
+            .counter(&format!(
+                "serve_dispatch_total{{family=\"{family}\",engine=\"{engine}\"}}"
+            ))
+            .expect("per-(family, engine) dispatch counter is registered")
+    };
+    for family in ["subtree", "near"] {
+        assert!(fan_outs(family, "batched") > 0, "{family} never batched");
+        assert_eq!(fan_outs(family, "independent"), 0, "{family} ran singles");
+    }
+    for family in ["conn", "repr", "path", "lca", "bottleneck"] {
+        assert!(
+            fan_outs(family, "independent") > 0,
+            "{family} never ran singles"
+        );
+        assert_eq!(fan_outs(family, "batched"), 0, "{family} batched");
+    }
 }
 
 #[test]
-fn serializability_oracle_adaptive_release_scale() {
-    // The acceptance-scale adaptive run: 100k+ operations in release
-    // builds with the default adaptive policy (plus enough exploration
-    // to keep switching engines all the way through), replayed exactly.
+fn serializability_oracle_query_heavy_release_scale() {
+    // The acceptance-scale query-heavy run: 100k+ operations in release
+    // builds with the default policy, replayed exactly.
     let ops_per_thread = if cfg!(debug_assertions) { 500 } else { 13_000 };
-    let stats = run_oracle_mix(
+    run_oracle_mix(
         ServeConfig {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
-            explore_frac: 0.2,
-            dispatch_mode: DispatchMode::Adaptive,
             ..ServeConfig::default()
         },
         8,
@@ -486,43 +493,4 @@ fn serializability_oracle_adaptive_release_scale() {
         90_210,
         rcforest::OpMix::query_heavy(),
     );
-    assert!(stats.total > 0 && stats.explored > 0, "{stats:?}");
-}
-
-#[test]
-fn serializability_oracle_adaptive_pinned_independent() {
-    // Pin the parallel single-query engine for every family: same
-    // answers as batched, checked by the same replay.
-    let stats = run_oracle_mix(
-        ServeConfig {
-            max_linger: Duration::from_micros(300),
-            record_commit_log: true,
-            dispatch_mode: DispatchMode::AlwaysIndependent,
-            ..ServeConfig::default()
-        },
-        8,
-        200,
-        808,
-        rcforest::OpMix::query_heavy(),
-    );
-    let batched: u64 = (0..8).map(|f| stats.decisions[f][0]).sum();
-    assert_eq!(batched, 0, "pinned mode must never pick batched: {stats:?}");
-}
-
-#[test]
-fn serializability_oracle_adaptive_pinned_sequential() {
-    let stats = run_oracle_mix(
-        ServeConfig {
-            max_linger: Duration::from_micros(300),
-            record_commit_log: true,
-            dispatch_mode: DispatchMode::AlwaysSequential,
-            ..ServeConfig::default()
-        },
-        8,
-        200,
-        909,
-        rcforest::OpMix::query_heavy(),
-    );
-    let seq: u64 = (0..8).map(|f| stats.decisions[f][2]).sum();
-    assert!(seq > 0, "sequential engine must have run: {stats:?}");
 }

@@ -3,8 +3,8 @@
 //! Three input families — pure random bytes, truncations of valid
 //! encodings, and single-bit flips of valid encodings — are fed to the
 //! frame decoder, the epoch/snapshot codecs, the snapshot file reader,
-//! the read-only WAL scan, the replication wire reader, and the cost
-//! calibration table decoder. The invariants under fuzz are:
+//! the read-only WAL scan, and the replication wire reader. The
+//! invariants under fuzz are:
 //!
 //! - **No panic** — every decoder returns `Err`/`None` on garbage; none
 //!   unwraps, slices out of range, or divides by zero.
@@ -17,7 +17,6 @@
 //!
 //! Deterministic (seeded splitmix64 stream), so a failure reproduces.
 
-use rcforest::obs::CalibrationTable;
 use rcforest::repl::{read_message, Message};
 use rcforest::store::codec::{decode_epoch, decode_snapshot, encode_epoch, encode_snapshot};
 use rcforest::store::frame::{crc32, decode_frame, encode_frame, scan_frames};
@@ -72,7 +71,6 @@ fn exercise_decoders(bytes: &[u8]) {
     let consumed = scan_frames(bytes, 0, |p| seen += p.len());
     assert!(consumed <= bytes.len(), "scan cannot consume past the end");
     let _ = read_message(&mut std::io::Cursor::new(bytes));
-    let _ = CalibrationTable::decode(bytes);
 }
 
 #[test]
@@ -98,16 +96,7 @@ fn random_truncated_and_bitflipped_inputs_never_panic() {
         },
     );
 
-    let mut model_cells = vec![(0u64, 0.0f64); 8 * 3 * 18];
-    model_cells[17] = (12, 840.5);
-    model_cells[100] = (3, 17.0);
-    let table_bytes = CalibrationTable { cells: model_cells }.encode();
-    assert!(
-        CalibrationTable::decode(&table_bytes).is_some(),
-        "control: the valid table decodes"
-    );
-
-    for base in [&rec_bytes, &snap_bytes, &framed, &wire, &table_bytes] {
+    for base in [&rec_bytes, &snap_bytes, &framed, &wire] {
         // Family 2: every truncation length (prefixes of a valid
         // encoding are the torn-write shape).
         for cut in 0..base.len() {

@@ -24,7 +24,7 @@ use crate::aggregate::{ClusterAggregate, GroupPathAggregate, PathAggregate, Subt
 use crate::aggregates::{
     EdgeRef, MaxEdgeAgg, MinEdgeAgg, NearestMarkedAgg, NearestMarkedAggregate, SumAgg,
 };
-use crate::types::Vertex;
+use crate::types::{Vertex, MAX_DEGREE};
 
 /// Vertex payload: an additive weight (subtree sums) plus the mark bit
 /// (nearest-marked queries).
@@ -88,14 +88,34 @@ impl StdAgg {
     }
 }
 
-/// Collect per-component rake references without re-allocating per child
-/// (rakes are at most `MAX_DEGREE` long).
+/// Component `part` of each rake, in a stack array: the first
+/// `rakes.len()` slots hold the rakes' components, the rest `pad`.
+fn parts<'a, T>(
+    rakes: &[&'a StdAgg],
+    pad: &'a T,
+    part: impl Fn(&'a StdAgg) -> &'a T,
+) -> [&'a T; MAX_DEGREE] {
+    let mut out = [pad; MAX_DEGREE];
+    for (slot, r) in out.iter_mut().zip(rakes) {
+        *slot = part(r);
+    }
+    out
+}
+
+/// Split the rake references into one slice per component, held in stack
+/// arrays (rakes are at most `MAX_DEGREE` long, so this never allocates).
+/// `$pad` fills the unused array slots.
 macro_rules! split_rakes {
-    ($rakes:expr => $sum:ident, $min:ident, $max:ident, $nm:ident) => {
-        let $sum: Vec<&SumAgg<u64>> = $rakes.iter().map(|r| &r.sum).collect();
-        let $min: Vec<&MinEdgeAgg<u64>> = $rakes.iter().map(|r| &r.min).collect();
-        let $max: Vec<&MaxEdgeAgg<u64>> = $rakes.iter().map(|r| &r.max).collect();
-        let $nm: Vec<&NearestMarkedAgg> = $rakes.iter().map(|r| &r.nm).collect();
+    ($rakes:expr, $pad:expr => $sum:ident, $min:ident, $max:ident, $nm:ident) => {
+        let (rakes, pad): (&[&StdAgg], &StdAgg) = ($rakes, $pad);
+        let sums = parts(rakes, &pad.sum, |r| &r.sum);
+        let mins = parts(rakes, &pad.min, |r| &r.min);
+        let maxs = parts(rakes, &pad.max, |r| &r.max);
+        let nms = parts(rakes, &pad.nm, |r| &r.nm);
+        let $sum = &sums[..rakes.len()];
+        let $min = &mins[..rakes.len()];
+        let $max = &maxs[..rakes.len()];
+        let $nm = &nms[..rakes.len()];
     };
 }
 
@@ -121,32 +141,33 @@ impl ClusterAggregate for StdAgg {
         right: &Self,
         rakes: &[&Self],
     ) -> Self {
-        split_rakes!(rakes => rs, rmin, rmax, rnm);
+        split_rakes!(rakes, left => rs, rmin, rmax, rnm);
         StdAgg {
-            sum: SumAgg::compress(v, &vw.weight, a, &left.sum, b, &right.sum, &rs),
-            min: MinEdgeAgg::compress(v, &(), a, &left.min, b, &right.min, &rmin),
-            max: MaxEdgeAgg::compress(v, &(), a, &left.max, b, &right.max, &rmax),
-            nm: NearestMarkedAgg::compress(v, &vw.marked, a, &left.nm, b, &right.nm, &rnm),
+            sum: SumAgg::compress(v, &vw.weight, a, &left.sum, b, &right.sum, rs),
+            min: MinEdgeAgg::compress(v, &(), a, &left.min, b, &right.min, rmin),
+            max: MaxEdgeAgg::compress(v, &(), a, &left.max, b, &right.max, rmax),
+            nm: NearestMarkedAgg::compress(v, &vw.marked, a, &left.nm, b, &right.nm, rnm),
         }
     }
 
     fn rake(v: Vertex, vw: &StdVertexWeight, u: Vertex, edge: &Self, rakes: &[&Self]) -> Self {
-        split_rakes!(rakes => rs, rmin, rmax, rnm);
+        split_rakes!(rakes, edge => rs, rmin, rmax, rnm);
         StdAgg {
-            sum: SumAgg::rake(v, &vw.weight, u, &edge.sum, &rs),
-            min: MinEdgeAgg::rake(v, &(), u, &edge.min, &rmin),
-            max: MaxEdgeAgg::rake(v, &(), u, &edge.max, &rmax),
-            nm: NearestMarkedAgg::rake(v, &vw.marked, u, &edge.nm, &rnm),
+            sum: SumAgg::rake(v, &vw.weight, u, &edge.sum, rs),
+            min: MinEdgeAgg::rake(v, &(), u, &edge.min, rmin),
+            max: MaxEdgeAgg::rake(v, &(), u, &edge.max, rmax),
+            nm: NearestMarkedAgg::rake(v, &vw.marked, u, &edge.nm, rnm),
         }
     }
 
     fn finalize(v: Vertex, vw: &StdVertexWeight, rakes: &[&Self]) -> Self {
-        split_rakes!(rakes => rs, rmin, rmax, rnm);
+        let pad = StdAgg::invisible_edge();
+        split_rakes!(rakes, &pad => rs, rmin, rmax, rnm);
         StdAgg {
-            sum: SumAgg::finalize(v, &vw.weight, &rs),
-            min: MinEdgeAgg::finalize(v, &(), &rmin),
-            max: MaxEdgeAgg::finalize(v, &(), &rmax),
-            nm: NearestMarkedAgg::finalize(v, &vw.marked, &rnm),
+            sum: SumAgg::finalize(v, &vw.weight, rs),
+            min: MinEdgeAgg::finalize(v, &(), rmin),
+            max: MaxEdgeAgg::finalize(v, &(), rmax),
+            nm: NearestMarkedAgg::finalize(v, &vw.marked, rnm),
         }
     }
 }

@@ -26,6 +26,20 @@ use crate::types::*;
 use rayon::prelude::*;
 use std::collections::HashMap;
 
+/// Minimum number of items per parallel chunk in the update path's maps:
+/// `batch_link`'s representative walks, `propagate`'s rebuild, decide and
+/// cluster maps, and the value pass's recompute map. An item costs about
+/// a microsecond, so a frontier or bucket of at most this many runs
+/// inline on the calling thread and publishes no pool job. A single link
+/// or cut touches about 5 vertices per level and never reaches it.
+///
+/// Chosen by a traced perfbench sweep (seed 1, 20 s runs, 2 vCPU) over
+/// {16, 32, 64, 128, 256}. Every value cut lib-single's pool jobs from
+/// ~4.6k per round to 0. On lib-bulk, 64 is the smallest value whose
+/// `update_per_s` read above the parent's mean (21.8k) in both passes:
+/// 24.0k and 22.4k. The other values each read below it at least once.
+const UPDATE_MIN_LEN: usize = 64;
+
 /// Per-frontier-vertex working state for one level of repair.
 struct FrontEntry {
     v: Vertex,
@@ -55,22 +69,32 @@ impl<A: ClusterAggregate> RcForest<A> {
 
     /// Insert a batch of weighted edges in parallel.
     ///
-    /// Validates ids, self-loops, duplicates, degree bounds, and acyclicity
-    /// (including cycles formed *among* the new edges). `O(k log n)`
-    /// validation + `O(k log(1 + n/k))` expected repair work.
+    /// Validates ids, self-loops, duplicates and degree bounds of every
+    /// link, then acyclicity (including cycles formed *among* the new
+    /// edges), reporting the first link in order that closes a cycle.
+    /// Validation is `O(k log n)` expected work: one root walk per
+    /// endpoint, then a union-find over the at most `2k` component
+    /// representatives those walks reach. Repair is `O(k log(1 + n/k))`
+    /// expected work.
     pub fn batch_link(
         &mut self,
         links: &[(Vertex, Vertex, A::EdgeWeight)],
     ) -> Result<(), ForestError> {
         self.validate_links(links, &[])?;
-        // Cycle check: union-find over current component representatives.
+        // Cycle check: union-find over the endpoints' component
+        // representatives, renumbered to `0..m`.
         let reprs: Vec<(Vertex, Vertex)> = links
             .par_iter()
+            .with_min_len(UPDATE_MIN_LEN)
             .map(|&(u, v, _)| (self.find_representative(u), self.find_representative(v)))
             .collect();
-        let mut uf = UnionFind::new(self.n);
+        let mut ids: Vec<Vertex> = reprs.iter().flat_map(|&(ru, rv)| [ru, rv]).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let slot = |r: Vertex| ids.binary_search(&r).expect("collected above") as u32;
+        let mut uf = UnionFind::new(ids.len());
         for (i, &(ru, rv)) in reprs.iter().enumerate() {
-            if ru == rv || !uf.union(ru, rv) {
+            if !uf.union(slot(ru), slot(rv)) {
                 let (u, v, _) = links[i].clone();
                 return Err(ForestError::WouldCreateCycle { u, v });
             }
@@ -147,9 +171,7 @@ impl<A: ClusterAggregate> RcForest<A> {
             let e = self
                 .find_base_edge(u, v)
                 .ok_or(ForestError::MissingEdge { u, v })?;
-            let (a, b) = self.edges.ep[e as usize];
             self.edges.weight[e as usize] = w.clone();
-            self.edges.agg[e as usize] = A::base_edge(a, b, w);
             let p = self.edges.parent[e as usize];
             debug_assert!(p.is_vertex());
             seed.push(p.as_vertex());
@@ -264,16 +286,20 @@ impl<A: ClusterAggregate> RcForest<A> {
         for fe in frontier.iter_mut() {
             fe.old_rec = Some(self.histories[fe.v as usize][0]);
         }
-        // Apply cuts then links to the level-0 records.
+        // Apply cuts then links to the level-0 records. Cut edges go back
+        // to the arena only after the links are allocated: a link that
+        // re-inserts a cut edge must get a different slot, or its
+        // endpoints' records would look unchanged and the new edge would
+        // never be consumed.
+        let mut cut_edges: Vec<u32> = Vec::with_capacity(cuts.len());
         for &(u, v) in cuts {
-            let e = self.find_base_edge(u, v).expect("validated cut");
+            cut_edges.push(self.find_base_edge(u, v).expect("validated cut"));
             self.histories[u as usize][0]
                 .adj
                 .remove_first(|x| x.nbr == v && !x.raked);
             self.histories[v as usize][0]
                 .adj
                 .remove_first(|x| x.nbr == u && !x.raked);
-            self.edges.release(e);
         }
         let mut new_edge_parents_pending: Vec<u32> = Vec::new();
         for &(u, v, ref w) in links {
@@ -289,6 +315,9 @@ impl<A: ClusterAggregate> RcForest<A> {
                 cluster: ClusterId::edge(e),
                 raked: false,
             });
+        }
+        for e in cut_edges {
+            self.edges.release(e);
         }
         // Level-0 adjacency slots keep sorted order; `remove_first` uses
         // swap-remove, so restore canonical order.
@@ -316,6 +345,7 @@ impl<A: ClusterAggregate> RcForest<A> {
                     Option<(LevelRecord, Option<LevelRecord>)>,
                 )> = frontier
                     .par_iter()
+                    .with_min_len(UPDATE_MIN_LEN)
                     .enumerate()
                     .map(|(i, fe)| {
                         let v = fe.v;
@@ -410,6 +440,7 @@ impl<A: ClusterAggregate> RcForest<A> {
                 let marks = &me.marks;
                 let decided: Vec<Event> = frontier
                     .par_iter()
+                    .with_min_len(UPDATE_MIN_LEN)
                     .map(|fe| {
                         decide_randomized(me, fe.v, level, &|u| {
                             let h = &me.histories[u as usize];
@@ -436,6 +467,7 @@ impl<A: ClusterAggregate> RcForest<A> {
                 let me: &RcForest<A> = self;
                 let built: Vec<Option<crate::forest::VertexCluster<A>>> = frontier
                     .par_iter()
+                    .with_min_len(UPDATE_MIN_LEN)
                     .map(|fe| {
                         let old_event = fe.old_rec.map_or(Event::Live, |o| o.event);
                         let event_changed = fe.old_rec.is_none() || old_event != fe.new_event;
@@ -565,7 +597,11 @@ impl<A: ClusterAggregate> RcForest<A> {
             let batch = std::mem::take(&mut buckets[r]);
             // Recompute in parallel (pure reads of children), commit serially.
             let me: &RcForest<A> = self;
-            let recomputed: Vec<A> = batch.par_iter().map(|&v| me.recompute_agg(v)).collect();
+            let recomputed: Vec<A> = batch
+                .par_iter()
+                .with_min_len(UPDATE_MIN_LEN)
+                .map(|&v| me.recompute_agg(v))
+                .collect();
             let mut parents: Vec<Vertex> = Vec::new();
             for (v, agg) in batch.into_iter().zip(recomputed) {
                 if self.clusters[v as usize].agg != agg {

@@ -4,11 +4,14 @@
 //! arenas: every vertex owns one *vertex cluster* slot and one *history*
 //! (a vector of [`LevelRecord`]s — the linked-list-of-levels of Fig. 3
 //! becomes a per-vertex `Vec` indexed by contraction round). Base edge
-//! clusters live in a free-list arena.
+//! clusters live in a free-list arena that stores their endpoints, weight
+//! and parent; an edge cluster's aggregate is computed from its endpoints
+//! and weight when read, not stored.
 
 use crate::aggregate::ClusterAggregate;
 use crate::types::*;
 use rc_parlay::inline::InlineVec;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the contraction rounds choose their independent sets.
@@ -95,12 +98,13 @@ impl<A: ClusterAggregate> VertexCluster<A> {
     }
 }
 
-/// Free-list arena of base edge clusters.
+/// Free-list arena of base edge clusters: endpoints, weight and parent
+/// per slot. The aggregate of edge cluster `e` is not stored;
+/// [`RcForest::agg_of`] computes it as `A::base_edge(u, v, &weight)`.
 #[derive(Clone, Debug)]
 pub struct EdgeArena<A: ClusterAggregate> {
     pub(crate) ep: Vec<(Vertex, Vertex)>,
     pub(crate) weight: Vec<A::EdgeWeight>,
-    pub(crate) agg: Vec<A>,
     pub(crate) parent: Vec<ClusterId>,
     pub(crate) alive: Vec<bool>,
     pub(crate) free: Vec<u32>,
@@ -112,7 +116,6 @@ impl<A: ClusterAggregate> EdgeArena<A> {
         EdgeArena {
             ep: Vec::new(),
             weight: Vec::new(),
-            agg: Vec::new(),
             parent: Vec::new(),
             alive: Vec::new(),
             free: Vec::new(),
@@ -123,13 +126,11 @@ impl<A: ClusterAggregate> EdgeArena<A> {
     /// Allocate a base cluster for edge `{u, v}` (stored sorted).
     pub(crate) fn alloc(&mut self, u: Vertex, v: Vertex, w: A::EdgeWeight) -> u32 {
         let (u, v) = if u <= v { (u, v) } else { (v, u) };
-        let agg = A::base_edge(u, v, &w);
         self.num_alive += 1;
         if let Some(idx) = self.free.pop() {
             let i = idx as usize;
             self.ep[i] = (u, v);
             self.weight[i] = w;
-            self.agg[i] = agg;
             self.parent[i] = ClusterId::NONE;
             self.alive[i] = true;
             idx
@@ -137,7 +138,6 @@ impl<A: ClusterAggregate> EdgeArena<A> {
             let idx = self.ep.len() as u32;
             self.ep.push((u, v));
             self.weight.push(w);
-            self.agg.push(agg);
             self.parent.push(ClusterId::NONE);
             self.alive.push(true);
             idx
@@ -304,13 +304,18 @@ impl<A: ClusterAggregate> RcForest<A> {
         &self.clusters[v as usize]
     }
 
-    /// Augmented value of any cluster.
+    /// Augmented value of any cluster: a vertex cluster's stored
+    /// aggregate, borrowed, or for a base edge cluster
+    /// `A::base_edge(u, v, &weight)`, computed on each call and returned
+    /// owned.
     #[inline]
-    pub fn agg_of(&self, c: ClusterId) -> &A {
+    pub fn agg_of(&self, c: ClusterId) -> Cow<'_, A> {
         if c.is_vertex() {
-            &self.clusters[c.as_vertex() as usize].agg
+            Cow::Borrowed(&self.clusters[c.as_vertex() as usize].agg)
         } else {
-            &self.edges.agg[c.as_edge() as usize]
+            let e = c.as_edge() as usize;
+            let (u, v) = self.edges.ep[e];
+            Cow::Owned(A::base_edge(u, v, &self.edges.weight[e]))
         }
     }
 
@@ -403,13 +408,14 @@ impl<A: ClusterAggregate> RcForest<A> {
         let vw = &self.vertex_weights[v as usize];
 
         // Collect rake-children aggregates (≤ 3) without heap allocation.
+        // Rake children are always vertex clusters.
         let mut rake_children: InlineVec<ClusterId, MAX_DEGREE> = InlineVec::new();
         let mut rake_refs: [std::mem::MaybeUninit<&A>; MAX_DEGREE] =
             [std::mem::MaybeUninit::uninit(); MAX_DEGREE];
         let mut nrakes = 0usize;
         for e in rec.rakes() {
             rake_children.push(e.cluster);
-            rake_refs[nrakes].write(self.agg_of(e.cluster));
+            rake_refs[nrakes].write(&self.clusters[e.cluster.as_vertex() as usize].agg);
             nrakes += 1;
         }
         // SAFETY: the first `nrakes` elements were just initialized.
@@ -419,7 +425,7 @@ impl<A: ClusterAggregate> RcForest<A> {
         match event {
             Event::Rake => {
                 let e = rec.sole_neighbor();
-                let agg = A::rake(v, vw, e.nbr, self.agg_of(e.cluster), rakes);
+                let agg = A::rake(v, vw, e.nbr, &self.agg_of(e.cluster), rakes);
                 VertexCluster {
                     kind: ClusterKind::Unary,
                     round: level,
@@ -440,9 +446,9 @@ impl<A: ClusterAggregate> RcForest<A> {
                     v,
                     vw,
                     ea.nbr,
-                    self.agg_of(ea.cluster),
+                    &self.agg_of(ea.cluster),
                     eb.nbr,
-                    self.agg_of(eb.cluster),
+                    &self.agg_of(eb.cluster),
                     rakes,
                 );
                 VertexCluster {
@@ -480,7 +486,7 @@ impl<A: ClusterAggregate> RcForest<A> {
             [std::mem::MaybeUninit::uninit(); MAX_DEGREE];
         let mut nrakes = 0usize;
         for rc in c.rake_children.iter() {
-            rake_refs[nrakes].write(self.agg_of(rc));
+            rake_refs[nrakes].write(&self.clusters[rc.as_vertex() as usize].agg);
             nrakes += 1;
         }
         // SAFETY: first `nrakes` initialized above.
@@ -488,15 +494,15 @@ impl<A: ClusterAggregate> RcForest<A> {
             unsafe { std::slice::from_raw_parts(rake_refs.as_ptr() as *const &A, nrakes) };
         match c.kind {
             ClusterKind::Unary => {
-                A::rake(v, vw, c.boundary[0], self.agg_of(c.bin_children[0]), rakes)
+                A::rake(v, vw, c.boundary[0], &self.agg_of(c.bin_children[0]), rakes)
             }
             ClusterKind::Binary => A::compress(
                 v,
                 vw,
                 c.boundary[0],
-                self.agg_of(c.bin_children[0]),
+                &self.agg_of(c.bin_children[0]),
                 c.boundary[1],
-                self.agg_of(c.bin_children[1]),
+                &self.agg_of(c.bin_children[1]),
                 rakes,
             ),
             ClusterKind::Nullary => A::finalize(v, vw, rakes),

@@ -271,8 +271,6 @@ impl<A: ClusterAggregate> RcForest<A> {
                 "edge {i} ({u},{v}) missing from level-0 record"
             );
             ensure!(!self.edges.parent[i].is_none(), "edge {i}: no parent");
-            let pagg = A::base_edge(u, v, &self.edges.weight[i]);
-            ensure!(pagg == self.edges.agg[i], "edge {i}: stale base aggregate");
         }
         Ok(())
     }

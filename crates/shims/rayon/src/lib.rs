@@ -11,8 +11,8 @@
 //! What is provided:
 //!
 //! * `prelude::*` with [`ParallelIterator`] driving `map`, `enumerate`,
-//!   `for_each`, `collect` (order-preserving), `sum`, `reduce`, and
-//!   `fold(..).reduce(..)`;
+//!   `with_min_len`, `for_each`, `collect` (order-preserving), `sum`,
+//!   `reduce`, and `fold(..).reduce(..)`;
 //! * `par_iter()` on slices, `into_par_iter()` on `Range<usize>`,
 //!   `par_chunks(..)` and a parallel-merge-sort
 //!   `par_sort_unstable_by_key(..)` on slices;
@@ -31,9 +31,15 @@
 //! every participating thread (the caller included) repeatedly claims a
 //! grain-sized range of the index space from a shared atomic counter, so
 //! load imbalance between chunks is absorbed dynamically rather than
-//! baked into a static split. Panics in user closures are caught on the
-//! executing worker, stashed, and re-thrown on the calling thread after
-//! the operation completes; the worker survives and keeps serving jobs.
+//! baked into a static split. The grain is about an eighth of each
+//! thread's share, with no floor: callers such as `rc_parlay` pass one
+//! block per item and choose their block sizes themselves. A caller whose
+//! items are too cheap to share in small numbers sets a floor on its own
+//! iterator with [`ParallelIterator::with_min_len`]; an iterator no
+//! longer than that floor runs inline and publishes no job. Panics in
+//! user closures are caught on the executing worker, stashed, and
+//! re-thrown on the calling thread after the operation completes; the
+//! worker survives and keeps serving jobs.
 //!
 //! The global pool sizes itself from `RAYON_NUM_THREADS` (falling back to
 //! the machine's available parallelism, resolved once). Pools built via
@@ -165,10 +171,25 @@ pub trait ParallelIterator: Sized + Sync {
         Enumerate { base: self }
     }
 
+    /// Claim chunks of at least `min` elements (all but the last chunk),
+    /// so an iterator of at most `min` elements runs inline on the calling
+    /// thread. Rayon declares this on `IndexedParallelIterator`, which its
+    /// prelude exports; every shim iterator is indexed.
+    fn with_min_len(self, min: usize) -> MinLen<Self> {
+        MinLen { base: self, min }
+    }
+
+    /// The smallest chunk this iterator may be split into (the shim's
+    /// counterpart of rayon's `Producer::min_len`): 1 unless raised by
+    /// [`with_min_len`](Self::with_min_len).
+    fn min_len(&self) -> usize {
+        1
+    }
+
     /// Run `f` on every element, in dynamically scheduled parallel chunks.
     fn for_each<F: Fn(Self::Item) + Sync>(self, f: F) {
         let n = self.par_len();
-        pool::run_chunked_grain(n, pool::default_grain(n), |lo, hi| {
+        pool::run_chunked_grain(n, grain_of(&self), |lo, hi| {
             for i in lo..hi {
                 f(self.at(i));
             }
@@ -226,6 +247,12 @@ pub trait ParallelIterator: Sized + Sync {
     }
 }
 
+/// Chunk grain for consuming `it`: the pool's default grain, raised to the
+/// iterator's minimum length.
+fn grain_of<I: ParallelIterator>(it: &I) -> usize {
+    pool::default_grain(it.par_len()).max(it.min_len())
+}
+
 /// Run `chunk(lo, hi)` over dynamically claimed parallel chunks, returning
 /// the per-chunk results in chunk (= index) order regardless of which
 /// thread ran which chunk.
@@ -239,7 +266,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let grain = pool::default_grain(n);
+    let grain = grain_of(it);
     let nchunks = pool::chunk_count(n, grain);
     let mut out: Vec<MaybeUninit<T>> = (0..nchunks).map(|_| MaybeUninit::uninit()).collect();
     let ptr = OutPtr(out.as_mut_ptr());
@@ -284,7 +311,7 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
         let mut out: Vec<T> = Vec::with_capacity(n);
         let ptr = OutPtr(out.as_mut_ptr());
         let ptr = &ptr;
-        pool::run_chunked_grain(n, pool::default_grain(n), |lo, hi| {
+        pool::run_chunked_grain(n, grain_of(&it), |lo, hi| {
             for i in lo..hi {
                 // SAFETY: chunks write disjoint index ranges into reserved
                 // capacity; every index in 0..n is written exactly once.
@@ -316,6 +343,9 @@ where
     fn at(&self, i: usize) -> R {
         (self.f)(self.base.at(i))
     }
+    fn min_len(&self) -> usize {
+        self.base.min_len()
+    }
 }
 
 /// `enumerate` adapter.
@@ -330,6 +360,28 @@ impl<B: ParallelIterator> ParallelIterator for Enumerate<B> {
     }
     fn at(&self, i: usize) -> (usize, B::Item) {
         (i, self.base.at(i))
+    }
+    fn min_len(&self) -> usize {
+        self.base.min_len()
+    }
+}
+
+/// `with_min_len` adapter.
+pub struct MinLen<B> {
+    base: B,
+    min: usize,
+}
+
+impl<B: ParallelIterator> ParallelIterator for MinLen<B> {
+    type Item = B::Item;
+    fn par_len(&self) -> usize {
+        self.base.par_len()
+    }
+    fn at(&self, i: usize) -> B::Item {
+        self.base.at(i)
+    }
+    fn min_len(&self) -> usize {
+        self.min.max(self.base.min_len())
     }
 }
 

@@ -101,6 +101,42 @@ fn panic_in_worker_propagates_to_caller() {
 }
 
 #[test]
+fn with_min_len_keeps_order_and_propagates_panics() {
+    let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+    for (len, min) in [(64usize, 64usize), (65, 64), (1_000, 64), (100_000, 16)] {
+        let got: Vec<u64> = pool.install(|| {
+            (0..len)
+                .into_par_iter()
+                .with_min_len(min)
+                .map(|i| {
+                    spin_work(i % 64);
+                    i as u64 * 3
+                })
+                .collect()
+        });
+        let want: Vec<u64> = (0..len as u64).map(|i| i * 3).collect();
+        assert_eq!(got, want, "len {len}, min {min}");
+    }
+    let r = std::panic::catch_unwind(|| {
+        pool.install(|| {
+            (0..10_000usize)
+                .into_par_iter()
+                .with_min_len(64)
+                .map(|i| {
+                    if i == 7_777 {
+                        panic!("boom past the minimum");
+                    }
+                    i
+                })
+                .collect::<Vec<_>>()
+        })
+    });
+    let err = r.expect_err("panic must reach the caller");
+    let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert_eq!(msg, "boom past the minimum");
+}
+
+#[test]
 fn join_panics_propagate_first_branch_wins() {
     let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
     // Panic in the second (stealable) branch.

@@ -7,9 +7,7 @@
 //! Scale via `RC_BENCH_SCALE` (`tiny` for CI smoke, `large` for a full
 //! machine); `RC_SERVE_OUT` overrides the output path.
 
-use rc_bench::serve_driver::{
-    coalescing_policy, default_stream, run_load_reusing, LoadResult, LoadSpec,
-};
+use rc_bench::serve_driver::{coalescing_policy, default_stream, run_load, LoadResult, LoadSpec};
 use rc_bench::{scale, Table};
 use rc_gen::Arrival;
 use rc_serve::{ServeConfig, SyncPolicy};
@@ -83,25 +81,19 @@ fn main() {
     };
 
     let mut rows: Vec<Row> = Vec::new();
-    // One flight-recorder scratch buffer shared by every run in the
-    // sweep — each run's per-epoch trace dump reuses this allocation.
-    let mut scratch = Vec::new();
     for &threads in &threads_sweep {
         let stream = default_stream(n, 42 + threads as u64);
         // Coalesced epochs, closed loop.
-        let coalesced = run_load_reusing(
-            &LoadSpec {
-                threads,
-                ops_per_thread,
-                window,
-                open_loop: false,
-                stream: stream.clone(),
-                server: coalescing_policy(threads, window),
-                durability: None,
-                obs_scrape: false,
-            },
-            &mut scratch,
-        );
+        let coalesced = run_load(&LoadSpec {
+            threads,
+            ops_per_thread,
+            window,
+            open_loop: false,
+            stream: stream.clone(),
+            server: coalescing_policy(threads, window),
+            durability: None,
+            obs_scrape: false,
+        });
         rows.push(Row {
             mode: "coalesced",
             loop_kind: "closed",
@@ -113,19 +105,16 @@ fn main() {
         // overhead at the same batching policy. This run also binds the
         // live observability endpoint and scrapes /metrics + /health over
         // TCP mid-load — the durable endpoint-under-load smoke.
-        let walled = run_load_reusing(
-            &LoadSpec {
-                threads,
-                ops_per_thread,
-                window,
-                open_loop: false,
-                stream: stream.clone(),
-                server: coalescing_policy(threads, window),
-                durability: Some(SyncPolicy::PerEpoch),
-                obs_scrape: true,
-            },
-            &mut scratch,
-        );
+        let walled = run_load(&LoadSpec {
+            threads,
+            ops_per_thread,
+            window,
+            open_loop: false,
+            stream: stream.clone(),
+            server: coalescing_policy(threads, window),
+            durability: Some(SyncPolicy::PerEpoch),
+            obs_scrape: true,
+        });
         rows.push(Row {
             mode: "coalesced",
             loop_kind: "closed",
@@ -134,19 +123,16 @@ fn main() {
             r: walled,
         });
         // Forced size-1 epochs, closed loop.
-        let size1 = run_load_reusing(
-            &LoadSpec {
-                threads,
-                ops_per_thread,
-                window,
-                open_loop: false,
-                stream: stream.clone(),
-                server: ServeConfig::unbatched(),
-                durability: None,
-                obs_scrape: false,
-            },
-            &mut scratch,
-        );
+        let size1 = run_load(&LoadSpec {
+            threads,
+            ops_per_thread,
+            window,
+            open_loop: false,
+            stream: stream.clone(),
+            server: ServeConfig::unbatched(),
+            durability: None,
+            obs_scrape: false,
+        });
         rows.push(Row {
             mode: "size1",
             loop_kind: "closed",
@@ -181,19 +167,16 @@ fn main() {
         open_stream.arrival = Arrival::Steady {
             mean_gap_ns: (1e9 / per_thread) as u64,
         };
-        let r = run_load_reusing(
-            &LoadSpec {
-                threads: top,
-                ops_per_thread,
-                window,
-                open_loop: true,
-                stream: open_stream,
-                server: coalescing_policy(top, window),
-                durability: None,
-                obs_scrape: false,
-            },
-            &mut scratch,
-        );
+        let r = run_load(&LoadSpec {
+            threads: top,
+            ops_per_thread,
+            window,
+            open_loop: true,
+            stream: open_stream,
+            server: coalescing_policy(top, window),
+            durability: None,
+            obs_scrape: false,
+        });
         rows.push(Row {
             mode: "coalesced",
             loop_kind: "open",
@@ -211,41 +194,32 @@ fn main() {
     // stay within noise of the untraced path — per-request cost when a
     // request is not sampled is two relaxed atomic stores.
     let overhead_stream = default_stream(n, 42 + top as u64);
-    let best_tput = |server: ServeConfig, scratch: &mut Vec<_>| -> f64 {
+    let best_tput = |server: ServeConfig| -> f64 {
         (0..2)
             .map(|_| {
-                run_load_reusing(
-                    &LoadSpec {
-                        threads: top,
-                        ops_per_thread,
-                        window,
-                        open_loop: false,
-                        stream: overhead_stream.clone(),
-                        server: server.clone(),
-                        durability: None,
-                        obs_scrape: false,
-                    },
-                    scratch,
-                )
+                run_load(&LoadSpec {
+                    threads: top,
+                    ops_per_thread,
+                    window,
+                    open_loop: false,
+                    stream: overhead_stream.clone(),
+                    server: server.clone(),
+                    durability: None,
+                    obs_scrape: false,
+                })
                 .ops_per_sec
             })
             .fold(0.0f64, f64::max)
     };
-    let traced_tput = best_tput(
-        ServeConfig {
-            trace_sample: 64,
-            ..coalescing_policy(top, window)
-        },
-        &mut scratch,
-    );
-    let untraced_tput = best_tput(
-        ServeConfig {
-            trace_sample: 0,
-            slow_request_threshold: std::time::Duration::ZERO,
-            ..coalescing_policy(top, window)
-        },
-        &mut scratch,
-    );
+    let traced_tput = best_tput(ServeConfig {
+        trace_sample: 64,
+        ..coalescing_policy(top, window)
+    });
+    let untraced_tput = best_tput(ServeConfig {
+        trace_sample: 0,
+        slow_request_threshold: std::time::Duration::ZERO,
+        ..coalescing_policy(top, window)
+    });
     let tracing_overhead_ratio = untraced_tput / traced_tput.max(1e-9);
     println!(
         "tracing overhead at {top} threads: 1-in-64 sampling costs {:.1}% \

@@ -5,8 +5,8 @@
 
 use rc_gen::{Arrival, OpMix, RequestStream, RequestStreamConfig};
 use rc_serve::{
-    Durability, EpochTrace, MetricsSnapshot, ObsServerConfig, PhaseTotals, RcServe, Request,
-    Response, ServeConfig, ServeForest, SyncPolicy,
+    Durability, MetricsSnapshot, ObsServerConfig, PhaseTotals, RcServe, Request, Response,
+    ServeConfig, ServeForest, SyncPolicy,
 };
 use std::io::{Read as _, Write as _};
 use std::time::{Duration, Instant};
@@ -108,14 +108,6 @@ fn obs_get(addr: std::net::SocketAddr, path: &str) -> std::io::Result<String> {
 /// Execute one load run: build the forest from the stream, start a fresh
 /// server, drive it from `threads` clients, shut down, report.
 pub fn run_load(spec: &LoadSpec) -> LoadResult {
-    run_load_reusing(spec, &mut Vec::new())
-}
-
-/// [`run_load`] with a caller-provided flight-recorder scratch buffer,
-/// so sweeps that run many configurations back to back reuse one
-/// allocation for the per-epoch trace dump instead of growing a fresh
-/// `Vec` per run.
-pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadResult {
     let probe = RequestStream::new_partitioned(spec.stream.clone(), 0, spec.threads);
     // With durability, the initial forest is installed as the bootstrap
     // snapshot of a fresh store directory (start_durable builds it from
@@ -257,11 +249,11 @@ pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadR
     // Telemetry reads are direct shared-state accessors, valid after
     // shutdown — by which point every epoch's trace has been published.
     let snapshot = audit.metrics_snapshot();
-    audit.flight_dump_into(scratch);
-    let phase = PhaseTotals::from_traces(scratch);
+    let flight = audit.flight_dump();
+    let phase = PhaseTotals::from_traces(&flight);
     let phase_coverage = phase.coverage();
     if std::env::var("RC_SERVE_DEBUG").is_ok() {
-        for e in audit.epoch_history().iter().rev().take(8).rev() {
+        for e in flight.iter().rev().take(8).rev() {
             eprintln!(
                 "debug epoch {}: batch {} (u {} q {}, {} flushes) update {:.3} ms query {:.3} ms",
                 e.epoch,
@@ -269,7 +261,7 @@ pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadR
                 e.updates,
                 e.queries,
                 e.flushes,
-                e.update_ns as f64 / 1e6,
+                (e.admit_ns + e.commit_ns + e.wal_ns) as f64 / 1e6,
                 e.query_ns as f64 / 1e6
             );
         }

@@ -89,11 +89,14 @@ impl StdAgg {
 }
 
 /// Component `part` of each rake, in a stack array: the first
-/// `rakes.len()` slots hold the rakes' components, the rest `pad`.
-fn parts<'a, T>(
-    rakes: &[&'a StdAgg],
+/// `rakes.len()` slots hold the rakes' components, the rest `pad`. A
+/// composite aggregate passes `&out[..rakes.len()]` to its component's
+/// `rake`/`compress`/`finalize` without allocating (rakes are at most
+/// `MAX_DEGREE` long).
+pub fn parts<'a, R, T>(
+    rakes: &[&'a R],
     pad: &'a T,
-    part: impl Fn(&'a StdAgg) -> &'a T,
+    part: impl Fn(&'a R) -> &'a T,
 ) -> [&'a T; MAX_DEGREE] {
     let mut out = [pad; MAX_DEGREE];
     for (slot, r) in out.iter_mut().zip(rakes) {

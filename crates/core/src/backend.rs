@@ -90,8 +90,7 @@ pub trait DynamicForest {
 
     /// Cheap monotone version stamp: advances at least once per
     /// successful state-changing operation and never otherwise, so two
-    /// equal reads bracket an unchanged forest without hashing state. The
-    /// serve tier records it per epoch (`EpochStats::version_after`).
+    /// equal reads bracket an unchanged forest without hashing state.
     /// Backends that do not track versions return `0`; consumers must
     /// treat `0` as "no information", never as "unchanged".
     fn version(&self) -> u64 {

@@ -1,8 +1,7 @@
 //! Lock-free log-bucketed histogram, shared across the stack.
 //!
-//! Promoted out of `rc-serve` (which re-exports it as `LatencyHistogram`)
-//! so every subsystem — the coalescer, the WAL —
-//! records into the same bucket layout and per-thread/per-family
+//! Promoted out of `rc-serve` so every subsystem — the coalescer, the
+//! WAL — records into the same bucket layout and per-thread/per-family
 //! histograms can be [`merge`](Histogram::merge)d into one snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};

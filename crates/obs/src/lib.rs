@@ -19,9 +19,8 @@
 //!   linking histogram buckets back to trace ids.
 //! - [`ObsServer`] — an opt-in, zero-dep blocking TCP endpoint serving
 //!   `/metrics`, `/metrics.json`, `/health`, `/ready`, `/flight`, and
-//!   `/traces` over HTTP/1.0, plus a binary
-//!   `DUMP_TELEMETRY` frame protocol byte-compatible with the rc-store
-//!   WAL codec.
+//!   `/traces` over HTTP/1.0. Other requests are refused with a status
+//!   line that reaches the peer before the close.
 //! - [`Watchdog`] — an epoch-stall detector that flips a shared
 //!   [`HealthState`] (and thus `/health` + `/ready`) when a watched
 //!   component stays busy without progress past a deadline.
@@ -43,8 +42,6 @@ pub use reqtrace::{
     splitmix64, trace_sampled, ExemplarEntry, Exemplars, RequestTrace, Span, TraceDump, TraceSink,
     EXEMPLAR_BUCKETS, MAX_SPANS,
 };
-pub use serve_http::{
-    epoch_trace_json, frame, HealthView, ObsServer, ObsServerConfig, ObsSource, DUMP_TELEMETRY_CMD,
-};
+pub use serve_http::{epoch_trace_json, HealthView, ObsServer, ObsServerConfig, ObsSource};
 pub use trace::{Engine, EpochTrace, FlightRecorder, PhaseTotals, ENGINE_NAMES, FAMILY_NAMES};
 pub use watchdog::{HealthState, Probe, StallInfo, Watchdog, WatchdogConfig};

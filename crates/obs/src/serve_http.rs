@@ -1,6 +1,5 @@
 //! Live observability endpoint: a zero-dependency blocking
-//! `std::net::TcpListener` server speaking HTTP/1.0 **and** the
-//! rc-store binary frame discipline on the same port.
+//! `std::net::TcpListener` server speaking HTTP/1.0.
 //!
 //! Routes (all `GET`, `Connection: close`):
 //!
@@ -13,13 +12,13 @@
 //! | `/flight`       | flight-recorder dump ([`EpochTrace`] array)       |
 //! | `/traces`       | sampled + slow request traces ([`TraceDump`])     |
 //!
-//! A connection whose first bytes are not an HTTP method is treated as a
-//! binary peer: one length-prefixed CRC-checked frame (byte-compatible
-//! with the rc-store WAL codec — see [`frame`]) carrying the command
-//! `DUMP_TELEMETRY`, answered with one frame whose payload is the full
-//! telemetry JSON. This is the seed of the ROADMAP's sharded-serve
-//! front door: the first real socket in the codebase, with the frame
-//! codec the future request protocol will inherit.
+//! Everything else is refused with a status line: `405` for any method
+//! but `GET`/`HEAD` (bytes that are not HTTP included), `431` for a
+//! request head over 4 KiB, and `503` when every connection slot is
+//! busy. A refusal is answered before the close: the endpoint half-closes
+//! and discards what the peer still sends, because closing a socket with
+//! unread input makes the kernel send a reset, which destroys the
+//! response before the peer reads it.
 //!
 //! The server is deliberately boring: opt-in, one accept thread, one
 //! short-lived thread per connection bounded by
@@ -28,93 +27,18 @@
 //! stuck scraper cannot pin a thread.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::registry::MetricsSnapshot;
 use crate::reqtrace::TraceDump;
 use crate::trace::{EpochTrace, ENGINE_NAMES, FAMILY_NAMES};
 
-/// Length-prefixed, CRC-checksummed frames — byte-compatible with the
-/// rc-store WAL codec (`len: u32 LE | crc32(payload): u32 LE | payload`)
-/// so the future network front door and the durability layer share one
-/// wire discipline. Re-implemented here (rather than imported) because
-/// rc-store depends on rc-obs, not the other way around; a root-crate
-/// test pins the two codecs byte-for-byte.
-pub mod frame {
-    /// Upper bound on one frame's payload accepted by the endpoint
-    /// (1 MiB — telemetry dumps are small; the WAL's 64 MiB bound does
-    /// not apply to the observability socket).
-    pub const MAX_FRAME_LEN: u32 = 1 << 20;
-
-    /// Bytes of frame header (`len` + `crc`).
-    pub const FRAME_HEADER: usize = 8;
-
-    /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB8_8320`) —
-    /// identical to the rc-store WAL checksum.
-    pub fn crc32(bytes: &[u8]) -> u32 {
-        const TABLE: [u32; 256] = {
-            let mut table = [0u32; 256];
-            let mut i = 0;
-            while i < 256 {
-                let mut c = i as u32;
-                let mut k = 0;
-                while k < 8 {
-                    c = if c & 1 != 0 {
-                        0xEDB8_8320 ^ (c >> 1)
-                    } else {
-                        c >> 1
-                    };
-                    k += 1;
-                }
-                table[i] = c;
-                i += 1;
-            }
-            table
-        };
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        !crc
-    }
-
-    /// Append one frame (header + payload) to `out`.
-    pub fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) {
-        assert!(
-            payload.len() as u64 <= MAX_FRAME_LEN as u64,
-            "oversized frame"
-        );
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-
-    /// Decode the frame starting at `buf[at..]`. Returns the payload and
-    /// the offset just past the frame, or `None` if the bytes do not
-    /// form a complete checksum-valid frame.
-    pub fn decode_frame(buf: &[u8], at: usize) -> Option<(&[u8], usize)> {
-        let header = buf.get(at..at + FRAME_HEADER)?;
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            return None;
-        }
-        let start = at + FRAME_HEADER;
-        let payload = buf.get(start..start + len as usize)?;
-        if crc32(payload) != crc {
-            return None;
-        }
-        Some((payload, start + len as usize))
-    }
-}
-
-/// The binary command a frame peer sends to fetch the full telemetry
-/// dump (mirrors the serve tier's `Request::DumpTelemetry`).
-pub const DUMP_TELEMETRY_CMD: &[u8] = b"DUMP_TELEMETRY";
+/// Most bytes a refusal discards from the peer before closing anyway.
+const DRAIN_LIMIT: usize = 64 << 10;
 
 /// Configuration for [`ObsServer::start`]. The endpoint is opt-in; the
 /// defaults bind an ephemeral loopback port with tight deadlines.
@@ -243,17 +167,6 @@ fn flight_json(traces: &[EpochTrace]) -> String {
     out
 }
 
-/// The full telemetry dump a binary `DUMP_TELEMETRY` frame receives.
-fn full_dump_json(source: &dyn ObsSource) -> String {
-    format!(
-        "{{\"health\":{},\"metrics\":{},\"flight\":{},\"traces\":{}}}",
-        source.health().to_json(),
-        source.metrics().to_json(),
-        flight_json(&source.flight()),
-        source.traces().to_json()
-    )
-}
-
 /// Handle to the running endpoint. Dropping it stops the accept loop
 /// and joins the accept thread (in-flight connections finish on their
 /// own deadlines).
@@ -285,11 +198,9 @@ impl ObsServer {
                     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
                     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
                     if inflight.load(Ordering::Relaxed) >= cfg.max_connections {
-                        let mut s = stream;
-                        let _ = s.write_all(
-                            b"HTTP/1.0 503 Service Unavailable\r\nConnection: close\r\n\
-                              Content-Length: 9\r\n\r\nbusy\ntry\n",
-                        );
+                        // The accept thread never waits on a peer: drain
+                        // only what has already arrived.
+                        let _ = refuse(stream, "503 Service Unavailable", "busy\n", true, false);
                         continue;
                     }
                     inflight.fetch_add(1, Ordering::Relaxed);
@@ -337,19 +248,16 @@ impl Drop for ObsServer {
 fn handle_connection(mut stream: TcpStream, source: &dyn ObsSource) -> std::io::Result<()> {
     let mut head = [0u8; 4];
     stream.read_exact(&mut head)?;
-    if &head == b"GET " || &head == b"HEAD" {
-        handle_http(stream, source, &head == b"GET ")
-    } else if head.iter().all(|b| b.is_ascii_uppercase()) {
-        // Some other HTTP method (POST, PUT, …): refuse politely.
-        write_http(
-            &mut stream,
+    match &head {
+        b"GET " => handle_http(stream, source, true),
+        b"HEAD" => handle_http(stream, source, false),
+        _ => refuse(
+            stream,
             "405 Method Not Allowed",
-            "text/plain",
             "only GET is served\n",
             true,
-        )
-    } else {
-        handle_binary(stream, source, head)
+            true,
+        ),
     }
 }
 
@@ -364,12 +272,12 @@ fn handle_http(
     let mut chunk = [0u8; 256];
     while !buf.windows(2).any(|w| w == b"\n\n") && !buf.windows(4).any(|w| w == b"\r\n\r\n") {
         if buf.len() > 4096 {
-            return write_http(
-                &mut stream,
+            return refuse(
+                stream,
                 "431 Request Header Fields Too Large",
-                "text/plain",
                 "header too large\n",
                 with_body,
+                true,
             );
         }
         let n = stream.read(&mut chunk)?;
@@ -414,20 +322,10 @@ fn handle_http(
             format!("no route {path}; try /metrics /metrics.json /health /ready /flight /traces\n"),
         ),
     };
-    write_http_full(&mut stream, status, ctype, &body, with_body)
+    write_http(&mut stream, status, ctype, &body, with_body)
 }
 
 fn write_http(
-    stream: &mut TcpStream,
-    status: &str,
-    ctype: &str,
-    body: &str,
-    with_body: bool,
-) -> std::io::Result<()> {
-    write_http_full(stream, status, ctype, body, with_body)
-}
-
-fn write_http_full(
     stream: &mut TcpStream,
     status: &str,
     ctype: &str,
@@ -446,36 +344,44 @@ fn write_http_full(
     stream.flush()
 }
 
-/// Binary peer: `head` already holds the first 4 bytes of the frame
-/// header (the little-endian length word). Read the rest, verify the
-/// CRC, answer known commands with one response frame.
-fn handle_binary(
+/// Answer a refused request with `status`, then close without losing
+/// the answer to a reset: half-close, and discard what the peer still
+/// sends (at most [`DRAIN_LIMIT`] bytes) until it closes its side. With
+/// `wait` the discarding waits for the peer up to the socket's read
+/// deadline; without it (or without a deadline), it takes only what has
+/// already arrived.
+fn refuse(
     mut stream: TcpStream,
-    source: &dyn ObsSource,
-    head: [u8; 4],
+    status: &str,
+    body: &str,
+    with_body: bool,
+    wait: bool,
 ) -> std::io::Result<()> {
-    let len = u32::from_le_bytes(head);
-    if len > frame::MAX_FRAME_LEN {
-        return Ok(()); // garbage length word: drop the connection
-    }
-    let mut rest = vec![0u8; 4 + len as usize];
-    stream.read_exact(&mut rest)?;
-    let mut full = Vec::with_capacity(frame::FRAME_HEADER + len as usize);
-    full.extend_from_slice(&head);
-    full.extend_from_slice(&rest);
-    let Some((payload, _)) = frame::decode_frame(&full, 0) else {
-        let mut out = Vec::new();
-        frame::encode_frame(&mut out, b"ERR bad checksum");
-        return stream.write_all(&out);
+    write_http(&mut stream, status, "text/plain", body, with_body)?;
+    stream.shutdown(Shutdown::Write)?;
+    let until = match stream.read_timeout()? {
+        Some(t) if wait => Some(Instant::now() + t),
+        _ => {
+            stream.set_nonblocking(true)?;
+            None
+        }
     };
-    let mut out = Vec::new();
-    if payload == DUMP_TELEMETRY_CMD {
-        frame::encode_frame(&mut out, full_dump_json(source).as_bytes());
-    } else {
-        frame::encode_frame(&mut out, b"ERR unknown command");
+    let mut sink = [0u8; 1024];
+    let mut drained = 0;
+    while drained < DRAIN_LIMIT {
+        if let Some(until) = until {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            stream.set_read_timeout(Some(left))?;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
     }
-    stream.write_all(&out)?;
-    stream.flush()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -585,57 +491,6 @@ mod tests {
         assert!(head.starts_with("HTTP/1.0 503"), "{head}");
         assert!(body.contains("stalled in \\\"wal\\\""));
         drop(server);
-    }
-
-    #[test]
-    fn binary_frame_round_trips_telemetry() {
-        let (server, _src) = start_stub();
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        let mut req = Vec::new();
-        frame::encode_frame(&mut req, DUMP_TELEMETRY_CMD);
-        s.write_all(&req).unwrap();
-        let mut resp = Vec::new();
-        s.read_to_end(&mut resp).unwrap();
-        let (payload, consumed) = frame::decode_frame(&resp, 0).expect("valid response frame");
-        assert_eq!(consumed, resp.len(), "exactly one frame");
-        let json = std::str::from_utf8(payload).unwrap();
-        assert!(json.contains("\"metrics\":"));
-        assert!(json.contains("\"flight\":"));
-        assert!(json.contains("\"traces\":"));
-        assert!(json.contains("\"healthy\":true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn binary_unknown_command_and_bad_crc() {
-        let (server, _src) = start_stub();
-        // Unknown command.
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        let mut req = Vec::new();
-        frame::encode_frame(&mut req, b"WHAT");
-        s.write_all(&req).unwrap();
-        let mut resp = Vec::new();
-        s.read_to_end(&mut resp).unwrap();
-        let (payload, _) = frame::decode_frame(&resp, 0).unwrap();
-        assert!(payload.starts_with(b"ERR unknown"));
-
-        // Corrupted checksum.
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        let mut req = Vec::new();
-        frame::encode_frame(&mut req, DUMP_TELEMETRY_CMD);
-        let last = req.len() - 1;
-        req[last] ^= 0x40;
-        s.write_all(&req).unwrap();
-        let mut resp = Vec::new();
-        s.read_to_end(&mut resp).unwrap();
-        let (payload, _) = frame::decode_frame(&resp, 0).unwrap();
-        assert!(payload.starts_with(b"ERR bad checksum"));
-    }
-
-    #[test]
-    fn crc_matches_known_vectors() {
-        assert_eq!(frame::crc32(b""), 0);
-        assert_eq!(frame::crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -187,17 +187,7 @@ impl FlightRecorder {
     /// block writers; a record overwritten mid-copy is retried a few
     /// times, then skipped.
     pub fn dump(&self) -> Vec<EpochTrace> {
-        let mut out = Vec::new();
-        self.dump_into(&mut out);
-        out
-    }
-
-    /// [`dump`](Self::dump) into a caller-provided buffer, reusing its
-    /// allocation across calls — the periodic-scrape form (`serve_load`
-    /// captures per-row telemetry through one scratch buffer).
-    pub fn dump_into(&self, out: &mut Vec<EpochTrace>) {
-        out.clear();
-        out.reserve(self.slots.len());
+        let mut out = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter() {
             for _ in 0..4 {
                 let before = slot.seq.load(Ordering::Acquire);
@@ -216,6 +206,7 @@ impl FlightRecorder {
             }
         }
         out.sort_by_key(|t| t.epoch);
+        out
     }
 }
 
@@ -413,29 +404,6 @@ mod tests {
         for t in &ring.dump() {
             assert_untorn(t);
         }
-    }
-
-    #[test]
-    fn dump_into_reuses_the_buffer() {
-        let ring = FlightRecorder::new(8);
-        for e in 1..=20u64 {
-            ring.record(patterned(e));
-        }
-        let mut scratch = Vec::new();
-        ring.dump_into(&mut scratch);
-        assert_eq!(scratch.len(), 8);
-        assert_eq!(scratch[0].epoch, 13);
-        let cap = scratch.capacity();
-        let ptr = scratch.as_ptr();
-        for e in 21..=25u64 {
-            ring.record(patterned(e));
-        }
-        ring.dump_into(&mut scratch);
-        assert_eq!(scratch.len(), 8);
-        assert_eq!(scratch.last().unwrap().epoch, 25);
-        assert_eq!(scratch.capacity(), cap, "no reallocation on reuse");
-        assert_eq!(scratch.as_ptr(), ptr, "same allocation reused");
-        assert_eq!(ring.dump(), scratch, "dump() and dump_into agree");
     }
 
     #[test]

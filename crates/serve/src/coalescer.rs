@@ -30,8 +30,8 @@
 //!    committed state and is stamped with that epoch.
 //! 5. **Respond** — per-request oneshot slots fill (updates right after
 //!    the final flush + WAL append, queries right after their fan-out),
-//!    latencies are recorded, and per-epoch stats append to the history
-//!    ring.
+//!    latencies are recorded, and the epoch's [`EpochTrace`] enters the
+//!    flight recorder and the metrics registry.
 //!
 //! Durability ordering rule: the epoch's WAL append returns before any of
 //! its response slots fill, so no client ever observes state that is not
@@ -40,10 +40,9 @@
 use crate::agg::{ServeForest, ServeVertexWeight};
 use crate::exec::{answer_requests_timed, family_index, BATCH_MIN_K};
 use crate::request::{Request, Response, ResponseHandle, Slot};
-use crate::stats::{EpochStats, LatencyHistogram, ServeStats};
 use crate::telemetry::{
-    ServeTelemetry, SpanLayout, StallReport, TelemetryDump, PHASE_ADMIT, PHASE_DRAIN, PHASE_IDLE,
-    PHASE_QUERY, PHASE_RESPOND, PHASE_WAL,
+    ServeStats, ServeTelemetry, SpanLayout, StallReport, TelemetryDump, PHASE_ADMIT, PHASE_DRAIN,
+    PHASE_IDLE, PHASE_QUERY, PHASE_RESPOND, PHASE_WAL,
 };
 use rc_core::{DynamicForest, ForestError, ForestState};
 use rc_obs::{
@@ -52,7 +51,7 @@ use rc_obs::{
 };
 use rc_parlay::hashtable::edge_key;
 use rc_store::{EpochRecord, FlushRecord, RecoveryReport, Store, StoreConfig, StoreError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -80,11 +79,9 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Record every request + response in commit order (tests/audits).
     pub record_commit_log: bool,
-    /// Per-epoch stats retained in the history ring.
-    pub epoch_history: usize,
     /// [`EpochTrace`] records retained in the flight-recorder ring
-    /// (newest win once full). Dump them via [`RcServe::flight_dump`] or
-    /// a [`Request::DumpTelemetry`].
+    /// (newest win once full). Dump them via [`ServeClient::flight_dump`]
+    /// or a [`Request::DumpTelemetry`].
     pub flight_recorder: usize,
     /// Per-request trace sampling: capture a full causal span trace for
     /// a deterministic 1-in-N subset of requests (`0` disables, `1`
@@ -125,7 +122,6 @@ impl Default for ServeConfig {
             max_linger: Duration::from_micros(200),
             shards: 8,
             record_commit_log: false,
-            epoch_history: 64,
             flight_recorder: 256,
             trace_sample: 64,
             trace_seed: 0,
@@ -192,18 +188,6 @@ struct Pending {
     sampled: bool,
 }
 
-#[derive(Default)]
-struct StatsInner {
-    epochs: u64,
-    ops: u64,
-    updates: u64,
-    queries: u64,
-    flushes: u64,
-    batch_sum: u64,
-    max_batch: usize,
-    history: VecDeque<EpochStats>,
-}
-
 struct Shared {
     cfg: ServeConfig,
     shards: Vec<Mutex<Vec<Pending>>>,
@@ -215,8 +199,6 @@ struct Shared {
     /// Wake mutex holds the shutdown flag; producers notify under it.
     wake: Mutex<bool>,
     wake_cv: Condvar,
-    hist: Arc<LatencyHistogram>,
-    stats: Mutex<StatsInner>,
     log: Mutex<Vec<LogEntry>>,
     /// Metrics registry + flight recorder (see [`crate::telemetry`]).
     tel: ServeTelemetry,
@@ -233,6 +215,8 @@ struct Shared {
 /// Create with [`RcServe::start`], hand [`ServeClient`]s to client
 /// threads, stop with [`RcServe::shutdown`] (drains the queue and returns
 /// the forest). Dropping without `shutdown` also stops the worker.
+/// Telemetry and the commit log are read through a [`ServeClient`],
+/// which stays usable after shutdown.
 pub struct RcServe {
     shared: Arc<Shared>,
     worker: Option<JoinHandle<ServeForest>>,
@@ -240,6 +224,8 @@ pub struct RcServe {
 }
 
 /// Cloneable submission handle; safe to share across client threads.
+/// It is also the server's one telemetry reader, and it implements
+/// [`ObsSource`] for the live endpoint ([`RcServe::serve_obs`]).
 #[derive(Clone)]
 pub struct ServeClient {
     shared: Arc<Shared>,
@@ -287,8 +273,7 @@ impl RcServe {
         store: Option<Store>,
         first_epoch: u64,
     ) -> RcServe {
-        let hist = Arc::new(LatencyHistogram::default());
-        let tel = ServeTelemetry::new(&cfg, Arc::clone(&hist));
+        let tel = ServeTelemetry::new(&cfg);
         if let Some(store) = &store {
             // The store created its metric handles at open; attach them
             // so snapshots carry WAL/snapshot/recovery series too, and
@@ -307,8 +292,6 @@ impl RcServe {
             accepting: AtomicBool::new(true),
             wake: Mutex::new(false),
             wake_cv: Condvar::new(),
-            hist,
-            stats: Mutex::new(StatsInner::default()),
             log: Mutex::new(Vec::new()),
             tel,
             taps: Mutex::new(Vec::new()),
@@ -376,19 +359,6 @@ impl RcServe {
         rx
     }
 
-    /// Aggregate statistics so far. Stats for an epoch are booked after
-    /// its responses fill, so a client racing the worker may observe the
-    /// previous epoch; read via a retained [`ServeClient`] after
-    /// [`RcServe::shutdown`] for exact totals.
-    pub fn stats(&self) -> ServeStats {
-        stats_of(&self.shared)
-    }
-
-    /// The most recent per-epoch stats (up to `cfg.epoch_history`).
-    pub fn epoch_history(&self) -> Vec<EpochStats> {
-        epoch_history_of(&self.shared)
-    }
-
     /// Point-in-time snapshot of every registered metric — serve phase
     /// histograms, request counters, store/WAL series when durable, and
     /// (with the `pool-metrics` feature) the work-stealing pool's
@@ -397,67 +367,14 @@ impl RcServe {
         self.shared.tel.snapshot()
     }
 
-    /// The flight recorder's retained [`EpochTrace`]s, oldest first.
-    pub fn flight_dump(&self) -> Vec<EpochTrace> {
-        self.shared.tel.flight.dump()
-    }
-
-    /// [`Self::flight_dump`] into a caller-provided buffer, reusing its
-    /// allocation — the per-row capture path for pollers that dump every
-    /// few milliseconds (`serve_load` does, per measured row).
-    pub fn flight_dump_into(&self, out: &mut Vec<EpochTrace>) {
-        self.shared.tel.flight.dump_into(out);
-    }
-
-    /// The captured request traces: the deterministic 1-in-N sampled
-    /// ring, the always-captured slow ring, and the latency exemplars
-    /// (request end-to-end plus, when durable, WAL append/fsync).
-    pub fn request_traces(&self) -> TraceDump {
-        self.shared.tel.traces()
-    }
-
-    /// The postmortem frozen by the epoch-stall watchdog, if a stall has
-    /// ever been declared (requires [`ServeConfig::stall_deadline`]).
-    pub fn stall_report(&self) -> Option<StallReport> {
-        self.shared.tel.stall_report()
-    }
-
-    /// Liveness as `/health` reports it: healthy/ready flags, stall
-    /// count, and a human-readable detail line.
-    pub fn health_view(&self) -> HealthView {
-        self.shared
-            .tel
-            .health_view(self.shared.accepting.load(Ordering::SeqCst))
-    }
-
     /// Start the live observability endpoint for this server: a
     /// zero-dependency blocking HTTP/1.0 listener answering `/metrics`
     /// (Prometheus text), `/metrics.json`, `/health`, `/ready`,
-    /// `/flight`, and `/traces`, plus the binary `DUMP_TELEMETRY` frame
-    /// protocol. The endpoint holds only the shared telemetry state, so
-    /// it keeps answering (unready) after shutdown until dropped.
+    /// `/flight`, and `/traces`. The endpoint reads through a
+    /// [`ServeClient`], so it keeps answering (unready) after shutdown
+    /// until dropped.
     pub fn serve_obs(&self, cfg: ObsServerConfig) -> std::io::Result<ObsServer> {
-        ObsServer::start(
-            cfg,
-            Arc::new(ObsBridge {
-                shared: Arc::clone(&self.shared),
-            }),
-        )
-    }
-
-    /// The flight-recorder dump frozen when the worker failed (WAL
-    /// append error or poisoned compaction); `None` while healthy. The
-    /// failing epoch's partial trace is the last entry with
-    /// [`EpochTrace::failed`] set.
-    pub fn failure_dump(&self) -> Option<Vec<EpochTrace>> {
-        self.shared.tel.failure_dump()
-    }
-
-    /// Drain the commit log recorded so far (`record_commit_log` only),
-    /// in commit order: by epoch, updates (in submission order) before
-    /// queries (in submission order).
-    pub fn take_commit_log(&self) -> Vec<LogEntry> {
-        take_log_of(&self.shared)
+        ObsServer::start(cfg, Arc::new(self.client()))
     }
 
     /// Stop accepting, drain every queued request, join the worker and
@@ -497,29 +414,21 @@ impl Drop for RcServe {
     }
 }
 
-/// Adapter exposing the shared telemetry state to the rc-obs TCP
-/// endpoint ([`RcServe::serve_obs`]).
-struct ObsBridge {
-    shared: Arc<Shared>,
-}
-
-impl ObsSource for ObsBridge {
+impl ObsSource for ServeClient {
     fn metrics(&self) -> MetricsSnapshot {
-        self.shared.tel.snapshot()
+        self.metrics_snapshot()
     }
 
     fn flight(&self) -> Vec<EpochTrace> {
-        self.shared.tel.flight.dump()
+        self.flight_dump()
     }
 
     fn traces(&self) -> TraceDump {
-        self.shared.tel.traces()
+        self.request_traces()
     }
 
     fn health(&self) -> HealthView {
-        self.shared
-            .tel
-            .health_view(self.shared.accepting.load(Ordering::SeqCst))
+        self.health_view()
     }
 }
 
@@ -613,99 +522,62 @@ impl ServeClient {
         self.submit(request).wait()
     }
 
-    /// Aggregate statistics (see [`RcServe::stats`] for the race caveat;
-    /// exact once the server has shut down).
+    /// Aggregate statistics so far, read from the metrics registry. An
+    /// epoch is counted once its trace is recorded, after its responses
+    /// fill, so a caller racing the worker may observe the previous
+    /// epoch; read after [`RcServe::shutdown`] for exact totals.
     pub fn stats(&self) -> ServeStats {
-        stats_of(&self.shared)
+        self.shared.tel.stats()
     }
 
-    /// The most recent per-epoch stats.
-    pub fn epoch_history(&self) -> Vec<EpochStats> {
-        epoch_history_of(&self.shared)
-    }
-
-    /// Metrics snapshot (see [`RcServe::metrics`]); works after
-    /// shutdown, which makes a retained client the way to read final
-    /// totals.
+    /// Point-in-time snapshot of every registered metric (see
+    /// [`RcServe::metrics`]); works after shutdown, which makes a
+    /// retained client the way to read final totals.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared.tel.snapshot()
     }
 
-    /// The flight recorder's retained traces (see
-    /// [`RcServe::flight_dump`]).
+    /// The flight recorder's retained [`EpochTrace`]s, oldest first.
     pub fn flight_dump(&self) -> Vec<EpochTrace> {
         self.shared.tel.flight.dump()
     }
 
-    /// The failure-frozen dump (see [`RcServe::failure_dump`]).
+    /// The flight-recorder dump frozen when the worker failed (WAL
+    /// append error or poisoned compaction); `None` while healthy. The
+    /// failing epoch's partial trace is the last entry with
+    /// [`EpochTrace::failed`] set.
     pub fn failure_dump(&self) -> Option<Vec<EpochTrace>> {
         self.shared.tel.failure_dump()
     }
 
-    /// [`ServeClient::flight_dump`] into a caller-provided buffer (see
-    /// [`RcServe::flight_dump_into`]).
-    pub fn flight_dump_into(&self, out: &mut Vec<EpochTrace>) {
-        self.shared.tel.flight.dump_into(out);
-    }
-
-    /// The captured request traces (see [`RcServe::request_traces`]).
+    /// The captured request traces: the deterministic 1-in-N sampled
+    /// ring, the always-captured slow ring, and the latency exemplars
+    /// (request end-to-end plus, when durable, WAL append/fsync).
     pub fn request_traces(&self) -> TraceDump {
         self.shared.tel.traces()
     }
 
-    /// The watchdog's stall postmortem (see [`RcServe::stall_report`]).
+    /// The postmortem frozen by the epoch-stall watchdog, if a stall has
+    /// ever been declared (requires [`ServeConfig::stall_deadline`]).
     pub fn stall_report(&self) -> Option<StallReport> {
         self.shared.tel.stall_report()
     }
 
-    /// Liveness as `/health` reports it (see [`RcServe::health_view`]).
+    /// Liveness as `/health` reports it: healthy/ready flags, stall
+    /// count, and a human-readable detail line.
     pub fn health_view(&self) -> HealthView {
         self.shared
             .tel
             .health_view(self.shared.accepting.load(Ordering::SeqCst))
     }
 
-    /// Drain the commit log (`record_commit_log` only), in commit order.
-    /// Like [`ServeClient::stats`], exact once the server has shut down.
+    /// Drain the commit log recorded so far (`record_commit_log` only),
+    /// in commit order: by epoch, updates (in submission order) before
+    /// queries (in submission order). Like [`ServeClient::stats`], exact
+    /// once the server has shut down.
     pub fn take_commit_log(&self) -> Vec<LogEntry> {
-        take_log_of(&self.shared)
+        std::mem::take(&mut *self.shared.log.lock().unwrap_or_else(|e| e.into_inner()))
     }
-}
-
-fn take_log_of(shared: &Shared) -> Vec<LogEntry> {
-    std::mem::take(&mut *shared.log.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-fn stats_of(shared: &Shared) -> ServeStats {
-    let (traces_sampled, traces_slow) = shared.tel.capture_totals();
-    let s = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    ServeStats {
-        traces_sampled,
-        traces_slow,
-        epochs: s.epochs,
-        ops: s.ops,
-        updates: s.updates,
-        queries: s.queries,
-        flushes: s.flushes,
-        mean_batch: if s.epochs == 0 {
-            0.0
-        } else {
-            s.batch_sum as f64 / s.epochs as f64
-        },
-        max_batch: s.max_batch,
-        latency: shared.hist.summary(),
-    }
-}
-
-fn epoch_history_of(shared: &Shared) -> Vec<EpochStats> {
-    shared
-        .stats
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .history
-        .iter()
-        .copied()
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -739,12 +611,11 @@ impl Worker {
             self.shared.tel.set_worker_phase(PHASE_DRAIN);
             let epoch_start = Instant::now();
             let batch = self.drain();
-            let drain_ns = epoch_start.elapsed().as_nanos() as u64;
             if batch.is_empty() {
                 continue;
             }
             self.shared.tel.observe_queue_depth(queue_depth);
-            let ok = self.process_epoch(&mut forest, batch, queue_depth, epoch_start, drain_ns);
+            let ok = self.process_epoch(&mut forest, batch, queue_depth, epoch_start);
             // Heartbeat: the watchdog's progress counter. Failed epochs
             // tick too — the worker is stopping deliberately, which the
             // health state reports as failed, not stalled.
@@ -868,29 +739,35 @@ impl Worker {
         batch: Vec<Pending>,
         queue_depth: usize,
         epoch_start: Instant,
-        drain_ns: u64,
     ) -> bool {
-        // Telemetry dumps answer at the drain boundary, before this
-        // epoch commits anything: the dump reflects exactly the
-        // committed prefix, never a half-applied epoch.
-        let (batch, dumps): (Vec<Pending>, Vec<Pending>) = batch
-            .into_iter()
-            .partition(|p| !matches!(p.request, Request::DumpTelemetry));
-        for p in dumps {
-            self.shared
-                .hist
-                .record(p.submitted.elapsed().as_nanos() as u64);
-            p.slot.fill(Response::Telemetry(Box::new(TelemetryDump {
-                snapshot: self.shared.tel.snapshot(),
-                traces: self.shared.tel.flight.dump(),
-            })));
+        // One pass splits the batch. Telemetry dumps answer here, at the
+        // drain boundary, before this epoch commits anything: the dump
+        // reflects exactly the committed prefix, never a half-applied
+        // epoch.
+        let (mut updates, mut queries) = (Vec::new(), Vec::new());
+        for p in batch {
+            if matches!(p.request, Request::DumpTelemetry) {
+                self.shared
+                    .tel
+                    .latency
+                    .record(p.submitted.elapsed().as_nanos() as u64);
+                p.slot.fill(Response::Telemetry(Box::new(TelemetryDump {
+                    snapshot: self.shared.tel.snapshot(),
+                    traces: self.shared.tel.flight.dump(),
+                })));
+            } else if p.request.is_update() {
+                updates.push(p);
+            } else {
+                queries.push(p);
+            }
         }
-        if batch.is_empty() {
+        // The split belongs to the drain phase: stopping the drain timer
+        // before it would leave its time in no phase.
+        let drain_ns = epoch_start.elapsed().as_nanos() as u64;
+        if updates.is_empty() && queries.is_empty() {
             return true;
         }
         self.epoch += 1;
-        let (updates, queries): (Vec<Pending>, Vec<Pending>) =
-            batch.into_iter().partition(|p| p.request.is_update());
         let mut trace = EpochTrace {
             epoch: self.epoch,
             batch: (updates.len() + queries.len()) as u32,
@@ -1013,7 +890,6 @@ impl Worker {
             let mut taps = self.shared.taps.lock().unwrap_or_else(|e| e.into_inner());
             taps.retain(|tx| tx.send(event.clone()).is_ok());
         }
-        let update_ns = t0.elapsed().as_nanos() as u64;
         trace.flushes = phase.flushes as u32;
         // Span layout for this epoch's request traces: the update-side
         // phases every request rode through; the query phase adds its
@@ -1031,7 +907,7 @@ impl Worker {
         let t_respond = Instant::now();
         for (p, r) in updates.iter().zip(&update_results) {
             let e2e = p.submitted.elapsed().as_nanos() as u64;
-            self.shared.hist.record(e2e);
+            self.shared.tel.latency.record(e2e);
             p.slot.fill(Response::Updated(r.clone()));
             self.shared.tel.maybe_capture(
                 &layout,
@@ -1060,7 +936,7 @@ impl Worker {
         let t_respond = Instant::now();
         for (p, r) in queries.iter().zip(&query_responses) {
             let e2e = p.submitted.elapsed().as_nanos() as u64;
-            self.shared.hist.record(e2e);
+            self.shared.tel.latency.record(e2e);
             p.slot.fill(r.clone());
             self.shared.tel.maybe_capture(
                 &layout,
@@ -1075,20 +951,6 @@ impl Worker {
         trace.respond_ns += t_respond.elapsed().as_nanos() as u64;
         trace.epoch_wall_ns = epoch_start.elapsed().as_nanos() as u64;
         self.shared.tel.record_trace(trace);
-        book_epoch(
-            &self.shared,
-            EpochStats {
-                epoch: self.epoch,
-                batch: updates.len() + queries.len(),
-                queue_depth,
-                updates: updates.len(),
-                queries: queries.len(),
-                flushes: phase.flushes,
-                update_ns,
-                query_ns,
-                version_after: forest.version(),
-            },
-        );
         if self.shared.cfg.record_commit_log {
             // One thread appends every entry, epoch by epoch: the log is
             // in commit order as written.
@@ -1117,22 +979,6 @@ impl Worker {
         }
         !store_failed
     }
-}
-
-/// Book one finished epoch into the aggregate stats + history ring.
-fn book_epoch(shared: &Shared, stats: EpochStats) {
-    let mut s = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    s.epochs += 1;
-    s.ops += stats.batch as u64;
-    s.updates += stats.updates as u64;
-    s.queries += stats.queries as u64;
-    s.flushes += stats.flushes as u64;
-    s.batch_sum += stats.batch as u64;
-    s.max_batch = s.max_batch.max(stats.batch);
-    if s.history.len() >= shared.cfg.epoch_history.max(1) {
-        s.history.pop_front();
-    }
-    s.history.push_back(stats);
 }
 
 // ---------------------------------------------------------------------

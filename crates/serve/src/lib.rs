@@ -89,15 +89,14 @@ mod agg;
 mod coalescer;
 mod exec;
 mod request;
-mod stats;
 mod telemetry;
 
 pub use agg::{PathSummary, ServeAgg, ServeForest, ServeVertexWeight};
 pub use coalescer::{CommitEvent, LogEntry, RcServe, ServeClient, ServeConfig};
 pub use exec::answer_read_only;
 /// Observability types, re-exported from `rc-obs`: every
-/// [`RcServe::metrics`] snapshot and [`RcServe::flight_dump`] trace is
-/// made of these (see the "Observability" section of the README).
+/// [`RcServe::metrics`] snapshot and [`ServeClient::flight_dump`] trace
+/// is made of these (see the "Observability" section of the README).
 pub use rc_obs::{
     Engine, EpochTrace, ExemplarEntry, HealthView, HistogramSummary, MetricValue, MetricsSnapshot,
     ObsServer, ObsServerConfig, PhaseTotals, RequestTrace, Span, StallInfo, TraceDump,
@@ -108,8 +107,7 @@ pub use rc_obs::{
 /// epoch loop (see the "Durability" section of the README).
 pub use rc_store::{RecoveryReport, StoreConfig as Durability, StoreError, SyncPolicy};
 pub use request::{CptResult, Request, Response, ResponseHandle};
-pub use stats::{EpochStats, LatencyHistogram, LatencySummary, ServeStats};
-pub use telemetry::{StallReport, TelemetryDump};
+pub use telemetry::{ServeStats, StallReport, TelemetryDump};
 
 #[cfg(test)]
 mod tests {
@@ -351,7 +349,7 @@ mod tests {
         assert_eq!(stats.ops, 8 * 200);
         assert!(stats.epochs < 1_600, "some coalescing happened");
         assert!(stats.latency.count == 1_600 && stats.latency.p50_ns > 0);
-        assert!(!c.epoch_history().is_empty());
+        assert!(!c.flight_dump().is_empty());
     }
 
     #[test]

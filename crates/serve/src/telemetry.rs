@@ -1,13 +1,15 @@
 //! The server's telemetry hub: one [`MetricsRegistry`] + one
 //! [`FlightRecorder`] per [`RcServe`](crate::RcServe), fed by the epoch
 //! worker and (when durable) the store. The worker runs every phase of
-//! an epoch, so it records each [`EpochTrace`] whole.
+//! an epoch, so it records each [`EpochTrace`] whole. The flight
+//! recorder is the only per-epoch record and the registry holds the only
+//! running totals: [`ServeStats`] is read from the registry's handles.
 
 use crate::coalescer::ServeConfig;
 use rc_obs::{
     Counter, EpochTrace, FlightRecorder, Gauge, HealthState, HealthView, Histogram,
-    MetricsRegistry, MetricsSnapshot, RequestTrace, StallInfo, TraceDump, TraceSink, ENGINE_NAMES,
-    FAMILY_NAMES,
+    HistogramSummary, MetricsRegistry, MetricsSnapshot, RequestTrace, StallInfo, TraceDump,
+    TraceSink, ENGINE_NAMES, FAMILY_NAMES,
 };
 use rc_store::StoreMetrics;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,10 +53,44 @@ impl SpanLayout {
     }
 }
 
+/// Aggregate server statistics, read from the metrics registry (the
+/// counter each field names in its doc), so they always agree with
+/// [`ServeClient::metrics_snapshot`](crate::ServeClient::metrics_snapshot).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ServeStats {
+    /// Epochs committed (`serve_epochs_total`). An epoch whose WAL
+    /// append failed counts too, although its requests were all
+    /// answered `Rejected`.
+    pub epochs: u64,
+    /// Requests drained into epochs (`serve_requests_total`), including
+    /// the requests of a failed epoch.
+    pub ops: u64,
+    /// Update requests among `ops` (`serve_updates_total`).
+    pub updates: u64,
+    /// Query requests among `ops` (`serve_queries_total`).
+    pub queries: u64,
+    /// Total sub-batch flushes across all epochs (`serve_flushes_total`).
+    pub flushes: u64,
+    /// Mean epoch batch size: `ops / epochs`.
+    pub mean_batch: f64,
+    /// Largest epoch batch (`serve_max_batch`).
+    pub max_batch: usize,
+    /// End-to-end request latency, submit → response
+    /// (`serve_request_latency_ns`).
+    pub latency: HistogramSummary,
+    /// Request traces captured by the deterministic 1-in-N sampler
+    /// (`serve_traces_sampled_total`).
+    pub traces_sampled: u64,
+    /// Request traces captured because end-to-end latency exceeded the
+    /// slow threshold, independent of sampling
+    /// (`serve_traces_slow_total`).
+    pub traces_slow: u64,
+}
+
 /// Postmortem frozen by the epoch-stall watchdog: what the watchdog saw,
 /// the flight recorder's epochs at declaration time, and the most recent
 /// captured request trace (slow ring preferred). Retrieved via
-/// [`RcServe::stall_report`](crate::RcServe::stall_report).
+/// [`ServeClient::stall_report`](crate::ServeClient::stall_report).
 #[derive(Clone, Debug)]
 pub struct StallReport {
     /// The watchdog's observation (stuck phase, queue depth, duration).
@@ -68,9 +104,10 @@ pub struct StallReport {
 
 /// On-demand dump of the server's telemetry: the metrics snapshot plus
 /// the flight recorder's retained epoch traces. Returned by
-/// [`Request::DumpTelemetry`](crate::Request::DumpTelemetry) and the
-/// direct [`RcServe::metrics`](crate::RcServe::metrics) /
-/// [`flight_dump`](crate::RcServe::flight_dump) accessors.
+/// [`Request::DumpTelemetry`](crate::Request::DumpTelemetry); the direct
+/// [`ServeClient::metrics_snapshot`](crate::ServeClient::metrics_snapshot)
+/// / [`flight_dump`](crate::ServeClient::flight_dump) readers return the
+/// same two parts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryDump {
     /// Point-in-time value of every registered metric.
@@ -108,6 +145,10 @@ pub(crate) struct ServeTelemetry {
     stalls_total: Arc<Counter>,
     traces_sampled_total: Arc<Counter>,
     traces_slow_total: Arc<Counter>,
+    /// End-to-end request latency (`serve_request_latency_ns`).
+    pub(crate) latency: Arc<Histogram>,
+    /// Largest epoch batch so far; the worker is its only writer.
+    max_batch: Arc<Gauge>,
     epochs_total: Arc<Counter>,
     failed_epochs_total: Arc<Counter>,
     requests_total: Arc<Counter>,
@@ -131,12 +172,9 @@ pub(crate) struct ServeTelemetry {
 }
 
 impl ServeTelemetry {
-    /// Fresh registry + flight recorder + trace sink; `latency` is the
-    /// existing end-to-end request histogram, attached under its metric
-    /// name so it shows up in every snapshot.
-    pub(crate) fn new(cfg: &ServeConfig, latency: Arc<Histogram>) -> Self {
+    /// Fresh registry + flight recorder + trace sink.
+    pub(crate) fn new(cfg: &ServeConfig) -> Self {
         let registry = MetricsRegistry::new();
-        registry.attach_histogram("serve_request_latency_ns", latency);
         ServeTelemetry {
             flight: FlightRecorder::new(cfg.flight_recorder),
             failure: Mutex::new(None),
@@ -150,6 +188,8 @@ impl ServeTelemetry {
             stalls_total: registry.counter("serve_stalls_total"),
             traces_sampled_total: registry.counter("serve_traces_sampled_total"),
             traces_slow_total: registry.counter("serve_traces_slow_total"),
+            latency: registry.histogram("serve_request_latency_ns"),
+            max_batch: registry.gauge("serve_max_batch"),
             epochs_total: registry.counter("serve_epochs_total"),
             failed_epochs_total: registry.counter("serve_failed_epochs_total"),
             requests_total: registry.counter("serve_requests_total"),
@@ -343,9 +383,26 @@ impl ServeTelemetry {
         self.stall.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Sampled/slow capture totals since startup.
-    pub(crate) fn capture_totals(&self) -> (u64, u64) {
-        (self.sink.sampled_total(), self.sink.slow_total())
+    /// The aggregate statistics, read from the registry's handles.
+    pub(crate) fn stats(&self) -> ServeStats {
+        let epochs = self.epochs_total.get();
+        let ops = self.requests_total.get();
+        ServeStats {
+            epochs,
+            ops,
+            updates: self.updates_total.get(),
+            queries: self.queries_total.get(),
+            flushes: self.flushes_total.get(),
+            mean_batch: if epochs == 0 {
+                0.0
+            } else {
+                ops as f64 / epochs as f64
+            },
+            max_batch: self.max_batch.get() as usize,
+            latency: self.latency.summary(),
+            traces_sampled: self.traces_sampled_total.get(),
+            traces_slow: self.traces_slow_total.get(),
+        }
     }
 
     /// Publish one epoch trace: counters, phase histograms, and the
@@ -356,6 +413,10 @@ impl ServeTelemetry {
             self.failed_epochs_total.inc();
         }
         self.requests_total.add(t.batch as u64);
+        if i64::from(t.batch) > self.max_batch.get() {
+            // The worker is the only writer, so read-then-set is exact.
+            self.max_batch.set(i64::from(t.batch));
+        }
         self.updates_total.add(t.updates as u64);
         self.queries_total.add(t.queries as u64);
         self.flushes_total.add(t.flushes as u64);
@@ -445,7 +506,7 @@ mod tests {
             flight_recorder,
             ..ServeConfig::default()
         };
-        ServeTelemetry::new(&cfg, Arc::new(Histogram::default()))
+        ServeTelemetry::new(&cfg)
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::TernaryForest;
 use rc_core::aggregate::{ClusterAggregate, GroupPathAggregate, PathAggregate, SubtreeAggregate};
+use rc_core::aggregates::std_agg::parts;
 use rc_core::{
     DynamicForest, EdgeRef, ForestError, ForestState, NearestMarkedAgg, NearestMarkedAggregate,
     PathSummary, StdAgg, StdVertexWeight, Vertex,
@@ -60,18 +61,29 @@ impl ClusterAggregate for TernAgg {
         right: &Self,
         rakes: &[&Self],
     ) -> Self {
-        let rs: Vec<&StdAgg> = rakes.iter().map(|r| &r.0).collect();
-        TernAgg(StdAgg::compress(v, vw, a, &left.0, b, &right.0, &rs))
+        let rs = parts(rakes, &left.0, |r| &r.0);
+        TernAgg(StdAgg::compress(
+            v,
+            vw,
+            a,
+            &left.0,
+            b,
+            &right.0,
+            &rs[..rakes.len()],
+        ))
     }
 
     fn rake(v: Vertex, vw: &StdVertexWeight, u: Vertex, edge: &Self, rakes: &[&Self]) -> Self {
-        let rs: Vec<&StdAgg> = rakes.iter().map(|r| &r.0).collect();
-        TernAgg(StdAgg::rake(v, vw, u, &edge.0, &rs))
+        let rs = parts(rakes, &edge.0, |r| &r.0);
+        TernAgg(StdAgg::rake(v, vw, u, &edge.0, &rs[..rakes.len()]))
     }
 
     fn finalize(v: Vertex, vw: &StdVertexWeight, rakes: &[&Self]) -> Self {
-        let rs: Vec<&StdAgg> = rakes.iter().map(|r| &r.0).collect();
-        TernAgg(StdAgg::finalize(v, vw, &rs))
+        let Some(first) = rakes.first() else {
+            return TernAgg(StdAgg::finalize(v, vw, &[]));
+        };
+        let rs = parts(rakes, &first.0, |r| &r.0);
+        TernAgg(StdAgg::finalize(v, vw, &rs[..rakes.len()]))
     }
 }
 

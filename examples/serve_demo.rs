@@ -96,18 +96,17 @@ fn main() {
     );
 
     println!("\nlast epochs (batch = coalesced requests):");
-    println!("epoch    batch  updates  queries  flushes  update_ms  query_ms  version");
-    for e in audit.epoch_history().iter().rev().take(10).rev() {
+    println!("epoch    batch  updates  queries  flushes  update_ms  query_ms");
+    for e in audit.flight_dump().iter().rev().take(10).rev() {
         println!(
-            "{:>5} {:>8} {:>8} {:>8} {:>8} {:>10.3} {:>9.3} {:>8}",
+            "{:>5} {:>8} {:>8} {:>8} {:>8} {:>10.3} {:>9.3}",
             e.epoch,
             e.batch,
             e.updates,
             e.queries,
             e.flushes,
-            e.update_ns as f64 / 1e6,
+            (e.admit_ns + e.commit_ns + e.wal_ns) as f64 / 1e6,
             e.query_ns as f64 / 1e6,
-            e.version_after,
         );
     }
     println!(

@@ -3,15 +3,15 @@
 //! HTTP over TCP, per-request causal traces with contiguous spans that
 //! account for the measured end-to-end latency, deterministic 1-in-N
 //! sampling, the always-on slow-request capture, the epoch-stall
-//! watchdog flipping `/ready`, and the rc-obs/rc-store frame codecs
-//! pinned byte-for-byte.
+//! watchdog flipping `/ready`, and refusals of hostile requests that
+//! reach the peer before the close.
 
 use rcforest::serve::{
     Durability, ObsServerConfig, RcServe, Request, Response, ServeClient, ServeConfig, ServeForest,
     SyncPolicy,
 };
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Path forest 0-1-2-…-(n-1) with weight-1 edges.
@@ -72,6 +72,22 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     let (head, body) = buf.split_once("\r\n\r\n").expect("complete response");
     let status = head.lines().next().unwrap_or("").to_string();
     (status, body.to_string())
+}
+
+/// Send `request`, half-closing the write side when `half_close`, and
+/// read until the endpoint closes. `Err` means the read ended in a reset
+/// (or another error), not a clean close. A refusal may close before the
+/// peer finishes sending, so a failed send is not an error: what counts
+/// is what the peer can read.
+fn exchange(addr: SocketAddr, request: &[u8], half_close: bool) -> std::io::Result<Vec<u8>> {
+    let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
+    s.set_read_timeout(Some(Duration::from_secs(10)))?;
+    if s.write_all(request).is_ok() && half_close {
+        let _ = s.shutdown(Shutdown::Write);
+    }
+    let mut resp = Vec::new();
+    s.read_to_end(&mut resp)?;
+    Ok(resp)
 }
 
 /// Minimal Prometheus text-format check (mirrors `telemetry_smoke`):
@@ -181,17 +197,6 @@ fn endpoint_answers_over_tcp_under_durable_load() {
         metrics.contains("serve_family_query_ns{family=\"conn\",engine=\""),
         "labeled family histograms missing"
     );
-
-    // Binary peer on the same port: one DUMP_TELEMETRY frame.
-    let mut s = TcpStream::connect(addr).unwrap();
-    let mut req = Vec::new();
-    rcforest::obs::frame::encode_frame(&mut req, rcforest::obs::DUMP_TELEMETRY_CMD);
-    s.write_all(&req).unwrap();
-    let mut resp = Vec::new();
-    s.read_to_end(&mut resp).unwrap();
-    let (payload, _) = rcforest::obs::frame::decode_frame(&resp, 0).expect("valid frame");
-    let json = std::str::from_utf8(payload).unwrap();
-    assert!(json.contains("\"metrics\":") && json.contains("\"flight\":"));
 
     drop(obs);
     server.shutdown();
@@ -425,26 +430,6 @@ fn watchdog_flips_ready_on_injected_stall_and_recovers() {
 }
 
 #[test]
-fn obs_frame_codec_is_byte_compatible_with_store_wal() {
-    use rcforest::{obs, store};
-    // Identical CRC function (IEEE 802.3).
-    for payload in [&b""[..], b"123456789", b"DUMP_TELEMETRY", &[0xFF; 1024]] {
-        assert_eq!(obs::frame::crc32(payload), store::frame::crc32(payload));
-    }
-    assert_eq!(obs::frame::crc32(b"123456789"), 0xCBF4_3926);
-    // Frames encoded by either side decode on the other, byte for byte.
-    let payload = b"telemetry over the wal wire discipline";
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    obs::frame::encode_frame(&mut a, payload);
-    store::frame::encode_frame(&mut b, payload);
-    assert_eq!(a, b, "identical wire bytes");
-    let (p, consumed) = store::frame::decode_frame(&a, 0).expect("store decodes obs frame");
-    assert_eq!((p, consumed), (&payload[..], a.len()));
-    let (p, consumed) = obs::frame::decode_frame(&b, 0).expect("obs decodes store frame");
-    assert_eq!((p, consumed), (&payload[..], b.len()));
-}
-
-#[test]
 fn client_deadline_times_out_during_injected_wedge_but_the_update_still_lands() {
     let server = path_server(
         8,
@@ -544,6 +529,101 @@ fn watchdog_rearms_across_repeated_wedge_episodes() {
         client.metrics_snapshot().counter("serve_stalls_total"),
         Some(2)
     );
+    drop(obs);
+    server.shutdown();
+}
+
+#[test]
+fn refusals_reach_the_peer_before_the_close() {
+    // Each refusal leaves request bytes unread. Closing over them would
+    // reset the connection and destroy the status line. The busy
+    // endpoint has no connection slot; the other has enough that a
+    // refused connection's thread, still draining, never makes it busy.
+    let server = path_server(8, ServeConfig::default());
+    let endpoint = |max_connections| {
+        let cfg = ObsServerConfig {
+            max_connections,
+            ..ObsServerConfig::default()
+        };
+        server.serve_obs(cfg).expect("bind endpoint")
+    };
+    let (obs, busy) = (endpoint(64), endpoint(0));
+    let oversized = format!(
+        "GET /metrics HTTP/1.0\r\nX-Pad: {}\r\n\r\n",
+        "a".repeat(8 << 10)
+    );
+    let cases: [(SocketAddr, &[u8], &str); 3] = [
+        (
+            busy.local_addr(),
+            b"GET /metrics HTTP/1.0\r\nHost: t\r\n\r\n",
+            "HTTP/1.0 503 ",
+        ),
+        (
+            obs.local_addr(),
+            b"POST /metrics HTTP/1.0\r\nHost: t\r\n\r\n",
+            "HTTP/1.0 405 ",
+        ),
+        (obs.local_addr(), oversized.as_bytes(), "HTTP/1.0 431 "),
+    ];
+    for (addr, request, status) in cases {
+        for i in 0..20 {
+            let resp = exchange(addr, request, false)
+                .unwrap_or_else(|e| panic!("{status:?} connection {i} ended in {e}"));
+            assert!(
+                resp.starts_with(status.as_bytes()),
+                "{status:?} connection {i} read {:?}",
+                String::from_utf8_lossy(&resp)
+            );
+        }
+    }
+    drop((obs, busy));
+    server.shutdown();
+}
+
+#[test]
+fn hostile_requests_end_in_a_status_line_or_a_clean_close() {
+    let server = path_server(8, ServeConfig::default());
+    let obs = server
+        .serve_obs(ObsServerConfig::default())
+        .expect("bind endpoint");
+    let addr = obs.local_addr();
+    let mut state = 0x5eed_u64;
+    let mut next = |bound: usize| {
+        state = rcforest::obs::splitmix64(state);
+        (state % bound as u64) as usize
+    };
+    let valid = b"GET /metrics HTTP/1.0\r\nHost: t\r\n\r\n";
+    for case in 0..200 {
+        let request: Vec<u8> = match case % 4 {
+            // Random bytes.
+            0 => (0..1 + next(600)).map(|_| next(256) as u8).collect(),
+            // A head cut short; the peer then half-closes.
+            1 => valid[..next(valid.len())].to_vec(),
+            // A head over the 4 KiB cap.
+            2 => {
+                let mut r = b"GET /".to_vec();
+                r.extend((0..4_097 + next(12_000)).map(|_| b'a' + next(26) as u8));
+                r
+            }
+            // Any method but GET and HEAD.
+            _ => {
+                let m = ["POST", "PUT", "DELETE", "OPTIONS", "TRACE", "get"][next(6)];
+                format!("{m} /metrics HTTP/1.0\r\n\r\n").into_bytes()
+            }
+        };
+        let half_close = case % 4 == 1 || next(2) == 0;
+        match exchange(addr, &request, half_close) {
+            Ok(resp) => assert!(
+                resp.is_empty() || resp.starts_with(b"HTTP/1.0 "),
+                "case {case} read {:?}",
+                String::from_utf8_lossy(&resp)
+            ),
+            Err(e) => panic!("case {case} ({} bytes) ended in {e}", request.len()),
+        }
+    }
+    let (status, body) = http_get(addr, "/health");
+    assert!(status.contains("200"), "{status}");
+    assert!(body.contains("\"healthy\":true"), "{body}");
     drop(obs);
     server.shutdown();
 }

@@ -11,7 +11,8 @@
 //!    acceptance threshold; default is 75% so debug builds with their
 //!    heavier constant factors stay green), and
 //! 4. a WAL append failure freezes a postmortem flight dump containing
-//!    the failing epoch.
+//!    the failing epoch, and
+//! 5. `ServeStats` reads the registry's counters.
 
 use rcforest::serve::{
     PhaseTotals, RcServe, Request, Response, ServeClient, ServeConfig, ServeForest, SyncPolicy,
@@ -165,6 +166,28 @@ fn dump_telemetry_round_trips_and_exports_parse() {
     } else {
         assert!(pool.is_none(), "no pool counters without the feature");
     }
+
+    // `stats()` reads the same registry: after shutdown it matches the
+    // dump's counters (the dump request itself is no epoch op).
+    let stats = client.stats();
+    let counter = |name| dump.snapshot.counter(name).unwrap();
+    assert_eq!(stats.epochs, counter("serve_epochs_total"));
+    assert_eq!(stats.ops, counter("serve_requests_total"));
+    assert_eq!(stats.updates, counter("serve_updates_total"));
+    assert_eq!(stats.queries, counter("serve_queries_total"));
+    assert_eq!(stats.flushes, counter("serve_flushes_total"));
+    assert_eq!(stats.traces_sampled, counter("serve_traces_sampled_total"));
+    assert_eq!(stats.traces_slow, counter("serve_traces_slow_total"));
+    assert_eq!(
+        stats.max_batch as i64,
+        dump.snapshot.gauge("serve_max_batch").unwrap()
+    );
+    assert!(stats.max_batch >= 1 && stats.max_batch as u64 <= total);
+    assert_eq!(
+        Some(stats.latency),
+        dump.snapshot.histogram("serve_request_latency_ns")
+    );
+    assert_eq!(stats.latency.count, total + 1, "the dump's own latency too");
 }
 
 #[test]
@@ -252,8 +275,11 @@ fn wal_failure_freezes_postmortem_flight_dump() {
         dump.iter().filter(|t| !t.failed).count() >= 2,
         "the successful epochs' traces are retained for context"
     );
-    // The failure is also visible in the metrics.
+    // The failure is also visible in the metrics, and `stats()` counts
+    // the failed epoch and its rejected request like the registry does.
     let snap = client.metrics_snapshot();
     assert_eq!(snap.counter("serve_failed_epochs_total"), Some(1));
+    let stats = client.stats();
+    assert_eq!((stats.epochs, stats.ops), (3, 3));
     let _ = std::fs::remove_dir_all(&dir);
 }

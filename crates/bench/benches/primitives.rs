@@ -1,21 +1,9 @@
-//! Criterion micro-benchmarks for the parallel substrate.
+//! Criterion micro-benchmarks for the parallel substrate: the rc-parlay
+//! primitives the forest runs (pack for the build's live set, counting
+//! sort for the deterministic MIS, the shuffle for rc-gen's relabelling).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rc_parlay::rng::SplitMix64;
-
-fn bench_scan(c: &mut Criterion) {
-    let mut g = c.benchmark_group("scan");
-    for n in [10_000usize, 1_000_000] {
-        g.bench_with_input(BenchmarkId::new("exclusive_u64", n), &n, |b, &n| {
-            let xs: Vec<u64> = (0..n as u64).collect();
-            b.iter(|| {
-                let mut ys = xs.clone();
-                rc_parlay::scan::scan_exclusive_u64(&mut ys)
-            });
-        });
-    }
-    g.finish();
-}
 
 fn bench_pack(c: &mut Criterion) {
     c.bench_function("pack_index_1M", |b| {
@@ -23,33 +11,25 @@ fn bench_pack(c: &mut Criterion) {
     });
 }
 
-fn bench_semisort(c: &mut Criterion) {
+fn bench_counting_sort(c: &mut Criterion) {
     let mut rng = SplitMix64::new(1);
-    let pairs: Vec<(u64, u32)> = (0..200_000u32)
-        .map(|i| (rng.next_below(5_000), i))
+    let xs: Vec<(u32, u32)> = (0..200_000u32)
+        .map(|i| (rng.next_below(64) as u32, i))
         .collect();
-    c.bench_function("group_by_200k", |b| {
-        b.iter(|| rc_parlay::semisort::group_by_key(&pairs, 7));
+    c.bench_function("counting_sort_200k_64", |b| {
+        b.iter(|| rc_parlay::sort::counting_sort_by(&xs, 64, |&(k, _)| k as usize));
     });
 }
 
-fn bench_hashtable(c: &mut Criterion) {
-    c.bench_function("concurrent_map_insert_get_100k", |b| {
-        b.iter(|| {
-            let m = rc_parlay::hashtable::ConcurrentMap::with_capacity(100_000);
-            rc_parlay::parallel_for(100_000, |i| {
-                m.insert(i as u64, i as u64);
-            });
-            rc_parlay::parallel_for(100_000, |i| {
-                assert!(m.get(i as u64).is_some());
-            });
-        });
+fn bench_shuffle(c: &mut Criterion) {
+    c.bench_function("random_permutation_1M", |b| {
+        b.iter(|| rc_parlay::shuffle::random_permutation(1_000_000, 7));
     });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_scan, bench_pack, bench_semisort, bench_hashtable
+    targets = bench_pack, bench_counting_sort, bench_shuffle
 }
 criterion_main!(benches);

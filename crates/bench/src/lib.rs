@@ -1,9 +1,16 @@
-//! Benchmark harness regenerating the paper's evaluation (Figs 6–11).
+//! Benchmark harness regenerating the paper's evaluation (Figs 6–11)
+//! plus the workspace's own experiments.
 //!
-//! Every figure has a binary (`fig6_build` … `fig12_ternary`) printing the
-//! series the paper plots as a markdown/CSV table. Scale defaults target a
-//! laptop-class machine; set `RC_BENCH_SCALE=large` for bigger inputs.
-//! EXPERIMENTS.md records paper-shape vs measured-shape per figure.
+//! - `fig6_build` … `fig11_crossover` print the series the paper's
+//!   figures plot as a markdown/CSV table; `fig12_ternary` adds the
+//!   ternarization overhead. `all_figures` runs these seven in turn.
+//! - `fig9b_speedup` (thread scaling), `fig11b_backends` (RC vs link-cut
+//!   crossover), `fig_persist` (durability), `repl_load` (replication)
+//!   and `serve_load` (serving) write the committed `BENCH_*.json` files.
+//!
+//! Scale defaults target a laptop-class machine; set
+//! `RC_BENCH_SCALE=tiny` for a seconds-long smoke run or `large` for
+//! bigger inputs.
 
 pub mod serve_driver;
 

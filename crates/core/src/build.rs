@@ -11,44 +11,7 @@ use crate::forest::{BuildOptions, ContractionMode, EdgeArena, MarkSpace, RcFores
 use crate::types::*;
 use rc_parlay::pack::pack_index;
 use rc_parlay::slice::ParSlice;
-use rc_parlay::{parallel_for, NONE_U32};
-
-/// Minimal union–find for build-time cycle detection.
-pub(crate) struct UnionFind {
-    parent: Vec<u32>,
-}
-
-impl UnionFind {
-    pub(crate) fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n as u32).collect(),
-        }
-    }
-
-    pub(crate) fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        let mut cur = x;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-
-    /// Union by id; returns false when already connected.
-    pub(crate) fn union(&mut self, a: u32, b: u32) -> bool {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        self.parent[ra.max(rb) as usize] = ra.min(rb);
-        true
-    }
-}
+use rc_parlay::{parallel_for, UnionFind, NONE_U32};
 
 impl<A: ClusterAggregate> RcForest<A> {
     /// An empty forest of `n` isolated vertices with default weights.
@@ -129,7 +92,7 @@ impl<A: ClusterAggregate> RcForest<A> {
 
         let mut seen = std::collections::HashSet::with_capacity(edges.len() * 2);
         for &(u, v, ref w) in edges {
-            let key = rc_parlay::hashtable::edge_key(u, v);
+            let key = rc_parlay::edge_key(u, v);
             if !seen.insert(key) {
                 return Err(ForestError::DuplicateEdge { u, v });
             }

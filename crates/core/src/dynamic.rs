@@ -19,7 +19,6 @@
 //! recomputed aggregate is unchanged.
 
 use crate::aggregate::ClusterAggregate;
-use crate::build::UnionFind;
 use crate::decide::decide_randomized;
 use crate::forest::RcForest;
 use crate::types::*;
@@ -82,22 +81,15 @@ impl<A: ClusterAggregate> RcForest<A> {
     ) -> Result<(), ForestError> {
         self.validate_links(links, &[])?;
         // Cycle check: union-find over the endpoints' component
-        // representatives, renumbered to `0..m`.
+        // representatives.
         let reprs: Vec<(Vertex, Vertex)> = links
             .par_iter()
             .with_min_len(UPDATE_MIN_LEN)
             .map(|&(u, v, _)| (self.find_representative(u), self.find_representative(v)))
             .collect();
-        let mut ids: Vec<Vertex> = reprs.iter().flat_map(|&(ru, rv)| [ru, rv]).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let slot = |r: Vertex| ids.binary_search(&r).expect("collected above") as u32;
-        let mut uf = UnionFind::new(ids.len());
-        for (i, &(ru, rv)) in reprs.iter().enumerate() {
-            if !uf.union(slot(ru), slot(rv)) {
-                let (u, v, _) = links[i].clone();
-                return Err(ForestError::WouldCreateCycle { u, v });
-            }
+        if let Some(i) = rc_parlay::first_cycle(&reprs) {
+            let (u, v, _) = links[i].clone();
+            return Err(ForestError::WouldCreateCycle { u, v });
         }
         self.propagate(links, &[]);
         self.bump_version();
@@ -197,7 +189,7 @@ impl<A: ClusterAggregate> RcForest<A> {
             if self.find_base_edge(u, v).is_none() {
                 return Err(ForestError::MissingEdge { u, v });
             }
-            if !seen.insert(rc_parlay::hashtable::edge_key(u, v)) {
+            if !seen.insert(rc_parlay::edge_key(u, v)) {
                 return Err(ForestError::MissingEdge { u, v });
             }
         }
@@ -211,7 +203,7 @@ impl<A: ClusterAggregate> RcForest<A> {
     ) -> Result<(), ForestError> {
         let cut_keys: std::collections::HashSet<u64> = cuts
             .iter()
-            .map(|&(u, v)| rc_parlay::hashtable::edge_key(u, v))
+            .map(|&(u, v)| rc_parlay::edge_key(u, v))
             .collect();
         let mut delta: HashMap<Vertex, i32> = HashMap::new();
         for &(u, v) in cuts {
@@ -229,7 +221,7 @@ impl<A: ClusterAggregate> RcForest<A> {
             if u == v {
                 return Err(ForestError::SelfLoop { v });
             }
-            let key = rc_parlay::hashtable::edge_key(u, v);
+            let key = rc_parlay::edge_key(u, v);
             if !seen.insert(key) {
                 return Err(ForestError::DuplicateEdge { u, v });
             }

@@ -339,18 +339,6 @@ impl<A: ClusterAggregate> RcForest<A> {
         }
     }
 
-    /// Contraction round of a vertex cluster; base edges count as round 0
-    /// ancestors-wise (they exist from the start).
-    #[inline]
-    #[allow(dead_code)] // part of the internal cluster API; used by future mixed-batch work
-    pub(crate) fn round_of(&self, c: ClusterId) -> u32 {
-        if c.is_vertex() {
-            self.clusters[c.as_vertex() as usize].round
-        } else {
-            0
-        }
-    }
-
     /// Current vertex weight.
     pub fn vertex_weight(&self, v: Vertex) -> &A::VertexWeight {
         &self.vertex_weights[v as usize]

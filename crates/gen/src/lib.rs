@@ -323,26 +323,11 @@ mod tests {
     use std::collections::HashSet;
 
     fn acyclic_and_valid(edges: &[(u32, u32, u64)], n: usize) {
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(p: &mut [u32], x: u32) -> u32 {
-            let mut r = x;
-            while p[r as usize] != r {
-                r = p[r as usize];
-            }
-            let mut c = x;
-            while p[c as usize] != r {
-                let nx = p[c as usize];
-                p[c as usize] = r;
-                c = nx;
-            }
-            r
-        }
+        let mut uf = rc_parlay::UnionFind::new(n);
         for &(u, v, w) in edges {
             assert!(u != v && (u as usize) < n && (v as usize) < n);
             assert!(w >= 1);
-            let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-            assert_ne!(ru, rv, "cycle at edge ({u},{v})");
-            parent[ru as usize] = rv;
+            assert!(uf.union(u, v), "cycle at edge ({u},{v})");
         }
     }
 

@@ -649,21 +649,12 @@ mod tests {
         let edges = s.initial_edges();
         let n = s.num_vertices();
         let mut deg = vec![0u32; n];
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(p: &mut [u32], x: u32) -> u32 {
-            let mut r = x;
-            while p[r as usize] != r {
-                r = p[r as usize];
-            }
-            r
-        }
+        let mut uf = rc_parlay::UnionFind::new(n);
         for &(u, v, w) in &edges {
             assert!(u != v && (u as usize) < n && (v as usize) < n && w >= 1);
             deg[u as usize] += 1;
             deg[v as usize] += 1;
-            let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-            assert_ne!(ru, rv, "cycle at ({u},{v})");
-            parent[ru as usize] = rv;
+            assert!(uf.union(u, v), "cycle at ({u},{v})");
         }
         assert!(deg.iter().all(|&d| d <= 3), "degree cap violated");
     }

@@ -13,54 +13,9 @@ use rc_core::{EdgeRef, MaxEdgeAgg, Vertex};
 use rc_ternary::TernaryForest;
 use std::collections::HashMap;
 
-/// Union–find with path compression (also used by the Kruskal baseline).
-pub struct UnionFind {
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-}
-
-impl UnionFind {
-    /// Disjoint singletons `0..n`.
-    pub fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n as u32).collect(),
-            rank: vec![0; n],
-        }
-    }
-
-    /// Representative of `x`.
-    pub fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        let mut cur = x;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-
-    /// Merge the sets of `a` and `b`; false when already joined.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        let (hi, lo) = if self.rank[ra as usize] >= self.rank[rb as usize] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[lo as usize] = hi;
-        if self.rank[hi as usize] == self.rank[lo as usize] {
-            self.rank[hi as usize] += 1;
-        }
-        true
-    }
-}
+/// The workspace's dense union–find (path compression, union by rank),
+/// re-exported from `rc-parlay`; [`kruskal`] runs on it.
+pub use rc_parlay::UnionFind;
 
 /// Offline Kruskal — the test oracle and the paper's inner MSF subroutine.
 /// Returns the selected edges (indices into `edges`).

@@ -20,7 +20,8 @@
 //! - [`ObsServer`] — an opt-in, zero-dep blocking TCP endpoint serving
 //!   `/metrics`, `/metrics.json`, `/health`, `/ready`, `/flight`, and
 //!   `/traces` over HTTP/1.0. Other requests are refused with a status
-//!   line that reaches the peer before the close.
+//!   line; every response, refusals included, reaches the peer before
+//!   the close.
 //! - [`Watchdog`] — an epoch-stall detector that flips a shared
 //!   [`HealthState`] (and thus `/health` + `/ready`) when a watched
 //!   component stays busy without progress past a deadline.

@@ -15,16 +15,18 @@
 //! Everything else is refused with a status line: `405` for any method
 //! but `GET`/`HEAD` (bytes that are not HTTP included), `431` for a
 //! request head over 4 KiB, and `503` when every connection slot is
-//! busy. A refusal is answered before the close: the endpoint half-closes
-//! and discards what the peer still sends, because closing a socket with
-//! unread input makes the kernel send a reset, which destroys the
-//! response before the peer reads it.
+//! busy. Every response, routes and refusals alike, goes through one
+//! writer that answers before the close: it half-closes and discards
+//! what the peer still sends, because closing a socket with unread input
+//! (a refused request, or a body after a `GET` head) makes the kernel
+//! send a reset, which destroys the response before the peer reads it.
 //!
 //! The server is deliberately boring: opt-in, one accept thread, one
-//! short-lived thread per connection bounded by
-//! [`ObsServerConfig::max_connections`] (excess connections get an
-//! immediate `503`), and read/write deadlines on every socket so a
-//! stuck scraper cannot pin a thread.
+//! short-lived thread per connection, at most
+//! [`ObsServerConfig::max_connections`] of them preparing a response
+//! (excess connections get an immediate `503`; a connection's slot frees
+//! once its response is written, before the discard), and read/write
+//! deadlines on every socket so a stuck scraper cannot pin a thread.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -37,7 +39,7 @@ use crate::registry::MetricsSnapshot;
 use crate::reqtrace::TraceDump;
 use crate::trace::{EpochTrace, ENGINE_NAMES, FAMILY_NAMES};
 
-/// Most bytes a refusal discards from the peer before closing anyway.
+/// Most bytes a response discards from the peer before closing anyway.
 const DRAIN_LIMIT: usize = 64 << 10;
 
 /// Configuration for [`ObsServer::start`]. The endpoint is opt-in; the
@@ -47,7 +49,8 @@ pub struct ObsServerConfig {
     /// Bind address (`"127.0.0.1:0"` picks an ephemeral port; use
     /// [`ObsServer::local_addr`] to discover it).
     pub bind: String,
-    /// Connections served concurrently; excess get an immediate `503`.
+    /// Connections answered at once (a connection's slot frees once its
+    /// response is written); excess get an immediate `503`.
     pub max_connections: usize,
     /// Per-connection socket read deadline.
     pub read_timeout: Duration,
@@ -198,19 +201,24 @@ impl ObsServer {
                     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
                     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
                     if inflight.load(Ordering::Relaxed) >= cfg.max_connections {
-                        // The accept thread never waits on a peer: drain
-                        // only what has already arrived.
-                        let _ = refuse(stream, "503 Service Unavailable", "busy\n", true, false);
+                        // No slot: the accept thread never waits on a peer.
+                        let _ = respond(
+                            stream,
+                            None,
+                            "503 Service Unavailable",
+                            "text/plain",
+                            "busy\n",
+                            true,
+                        );
                         continue;
                     }
                     inflight.fetch_add(1, Ordering::Relaxed);
-                    let inflight2 = Arc::clone(&inflight);
+                    let slot = Slot(Arc::clone(&inflight));
                     let source2 = Arc::clone(&source);
                     let _ = thread::Builder::new()
                         .name("rc-obs-conn".into())
                         .spawn(move || {
-                            let _ = handle_connection(stream, &*source2);
-                            inflight2.fetch_sub(1, Ordering::Relaxed);
+                            let _ = handle_connection(stream, slot, &*source2);
                         });
                 }
             })?;
@@ -245,17 +253,32 @@ impl Drop for ObsServer {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, source: &dyn ObsSource) -> std::io::Result<()> {
+/// One of the endpoint's [`ObsServerConfig::max_connections`] slots,
+/// held by a connection's thread; dropping it frees the slot.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+fn handle_connection(
+    mut stream: TcpStream,
+    slot: Slot,
+    source: &dyn ObsSource,
+) -> std::io::Result<()> {
     let mut head = [0u8; 4];
     stream.read_exact(&mut head)?;
     match &head {
-        b"GET " => handle_http(stream, source, true),
-        b"HEAD" => handle_http(stream, source, false),
-        _ => refuse(
+        b"GET " => handle_http(stream, slot, source, true),
+        b"HEAD" => handle_http(stream, slot, source, false),
+        _ => respond(
             stream,
+            Some(slot),
             "405 Method Not Allowed",
+            "text/plain",
             "only GET is served\n",
-            true,
             true,
         ),
     }
@@ -263,6 +286,7 @@ fn handle_connection(mut stream: TcpStream, source: &dyn ObsSource) -> std::io::
 
 fn handle_http(
     mut stream: TcpStream,
+    slot: Slot,
     source: &dyn ObsSource,
     with_body: bool,
 ) -> std::io::Result<()> {
@@ -272,12 +296,13 @@ fn handle_http(
     let mut chunk = [0u8; 256];
     while !buf.windows(2).any(|w| w == b"\n\n") && !buf.windows(4).any(|w| w == b"\r\n\r\n") {
         if buf.len() > 4096 {
-            return refuse(
+            return respond(
                 stream,
+                Some(slot),
                 "431 Request Header Fields Too Large",
+                "text/plain",
                 "header too large\n",
                 with_body,
-                true,
             );
         }
         let n = stream.read(&mut chunk)?;
@@ -322,11 +347,18 @@ fn handle_http(
             format!("no route {path}; try /metrics /metrics.json /health /ready /flight /traces\n"),
         ),
     };
-    write_http(&mut stream, status, ctype, &body, with_body)
+    respond(stream, Some(slot), status, ctype, &body, with_body)
 }
 
-fn write_http(
-    stream: &mut TcpStream,
+/// Write one response, then close without losing it to a reset: free
+/// the connection's `slot`, half-close, and discard what the peer still
+/// sends (at most [`DRAIN_LIMIT`] bytes) until it closes its side. A
+/// connection thread waits for the peer up to the socket's read
+/// deadline; the accept thread, which holds no slot, takes only what has
+/// already arrived.
+fn respond(
+    mut stream: TcpStream,
+    slot: Option<Slot>,
     status: &str,
     ctype: &str,
     body: &str,
@@ -341,23 +373,9 @@ fn write_http(
     if with_body {
         stream.write_all(body.as_bytes())?;
     }
-    stream.flush()
-}
-
-/// Answer a refused request with `status`, then close without losing
-/// the answer to a reset: half-close, and discard what the peer still
-/// sends (at most [`DRAIN_LIMIT`] bytes) until it closes its side. With
-/// `wait` the discarding waits for the peer up to the socket's read
-/// deadline; without it (or without a deadline), it takes only what has
-/// already arrived.
-fn refuse(
-    mut stream: TcpStream,
-    status: &str,
-    body: &str,
-    with_body: bool,
-    wait: bool,
-) -> std::io::Result<()> {
-    write_http(&mut stream, status, "text/plain", body, with_body)?;
+    stream.flush()?;
+    let wait = slot.is_some();
+    drop(slot);
     stream.shutdown(Shutdown::Write)?;
     let until = match stream.read_timeout()? {
         Some(t) if wait => Some(Instant::now() + t),

@@ -28,16 +28,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         Self::default()
     }
 
-    /// Build from a slice; panics if the slice is longer than `N`.
-    pub fn from_slice(xs: &[T]) -> Self {
-        assert!(xs.len() <= N, "InlineVec overflow: {} > {}", xs.len(), N);
-        let mut v = Self::new();
-        for &x in xs {
-            v.push(x);
-        }
-        v
-    }
-
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -58,32 +48,9 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len += 1;
     }
 
-    /// Try to append; returns `false` when full.
-    #[inline]
-    pub fn try_push(&mut self, x: T) -> bool {
-        if (self.len as usize) < N {
-            self.items[self.len as usize] = x;
-            self.len += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Remove and return the last element.
-    #[inline]
-    pub fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            None
-        } else {
-            self.len -= 1;
-            Some(self.items[self.len as usize])
-        }
-    }
-
     /// Remove the element at `i` (order *not* preserved: swap-remove).
     #[inline]
-    pub fn swap_remove(&mut self, i: usize) -> T {
+    fn swap_remove(&mut self, i: usize) -> T {
         let n = self.len();
         assert!(i < n);
         let out = self.items[i];
@@ -98,12 +65,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         (0..self.len())
             .find(|&i| pred(&self.items[i]))
             .map(|i| self.swap_remove(i))
-    }
-
-    /// Clear all elements.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
     }
 
     /// View as a slice.
@@ -152,16 +113,25 @@ mod tests {
 
     type V3 = InlineVec<u32, 3>;
 
+    fn v3(xs: &[u32]) -> V3 {
+        let mut v = V3::new();
+        for &x in xs {
+            v.push(x);
+        }
+        v
+    }
+
     #[test]
-    fn push_pop_len() {
+    fn push_remove_len() {
         let mut v = V3::new();
         assert!(v.is_empty());
         v.push(1);
         v.push(2);
         assert_eq!(v.len(), 2);
-        assert_eq!(v.pop(), Some(2));
-        assert_eq!(v.pop(), Some(1));
-        assert_eq!(v.pop(), None);
+        assert_eq!(v.remove_first(|&x| x == 2), Some(2));
+        assert_eq!(v.remove_first(|&x| x == 1), Some(1));
+        assert!(v.is_empty());
+        assert_eq!(v.remove_first(|_| true), None);
     }
 
     #[test]
@@ -174,25 +144,15 @@ mod tests {
     }
 
     #[test]
-    fn try_push_reports_full() {
-        let mut v = V3::new();
-        assert!(v.try_push(1));
-        assert!(v.try_push(2));
-        assert!(v.try_push(3));
-        assert!(!v.try_push(4));
-        assert_eq!(v.as_slice(), &[1, 2, 3]);
-    }
-
-    #[test]
     fn swap_remove_semantics() {
-        let mut v = V3::from_slice(&[10, 20, 30]);
+        let mut v = v3(&[10, 20, 30]);
         assert_eq!(v.swap_remove(0), 10);
         assert_eq!(v.as_slice(), &[30, 20]);
     }
 
     #[test]
     fn remove_first_finds_and_removes() {
-        let mut v = V3::from_slice(&[5, 7, 9]);
+        let mut v = v3(&[5, 7, 9]);
         assert_eq!(v.remove_first(|&x| x == 7), Some(7));
         assert_eq!(v.len(), 2);
         assert_eq!(v.remove_first(|&x| x == 7), None);
@@ -200,15 +160,15 @@ mod tests {
 
     #[test]
     fn equality_ignores_slack() {
-        let mut a = V3::from_slice(&[1, 2, 3]);
-        a.pop();
-        let b = V3::from_slice(&[1, 2]);
+        let mut a = v3(&[1, 2, 3]);
+        a.remove_first(|&x| x == 3);
+        let b = v3(&[1, 2]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn indexing() {
-        let mut v = V3::from_slice(&[4, 5]);
+        let mut v = v3(&[4, 5]);
         v[1] = 6;
         assert_eq!(v[0], 4);
         assert_eq!(v[1], 6);

@@ -1,10 +1,12 @@
 //! Parallel algorithm substrate for `rcforest`.
 //!
-//! This crate provides the parallel primitives that the paper's C++
-//! implementation takes from ParlayLib (Blelloch, Anderson, Dhulipala 2020):
-//! prefix sums, filter/pack, flatten, semisort/group-by, concurrent hash
-//! tables, parallel list contraction, random shuffles, and deterministic
-//! pseudo-random hashing. Everything is built on [`rayon`]'s fork-join
+//! The parallel primitives the workspace runs, in the style of ParlayLib
+//! (Blelloch, Anderson, Dhulipala 2020), which the paper's C++
+//! implementation builds on: `parallel_for` loops with adaptive grain
+//! sizes, index pack and gather, stable counting sort, random shuffles,
+//! deterministic pseudo-random priorities, disjoint-write slices, inline
+//! small vectors, the undirected [`edge_key`], and the dense
+//! [`UnionFind`] with its [`first_cycle`] check. Everything parallel runs on [`rayon`]'s fork-join
 //! scheduler, the Rust equivalent of Parlay's work-stealing scheduler.
 //!
 //! All primitives are deterministic given their seed arguments, which the
@@ -13,26 +15,26 @@
 //! # Quick example
 //!
 //! ```
-//! use rc_parlay::{scan, pack};
-//! let mut xs = vec![1u64, 2, 3, 4];
-//! let total = scan::scan_exclusive_u64(&mut xs);
-//! assert_eq!(total, 10);
-//! assert_eq!(xs, vec![0, 1, 3, 6]);
+//! use rc_parlay::{edge_key, pack, UnionFind};
 //! let evens = pack::pack_index(8, |i| i % 2 == 0);
 //! assert_eq!(evens, vec![0, 2, 4, 6]);
+//! assert_eq!(edge_key(3, 9), edge_key(9, 3));
+//! let mut uf = UnionFind::new(3);
+//! assert!(uf.union(0, 1));
+//! assert!(!uf.union(1, 0));
+//! assert_eq!(uf.find(0), uf.find(1));
 //! ```
 
-pub mod atomic_slots;
-pub mod hashtable;
 pub mod inline;
-pub mod list;
 pub mod pack;
 pub mod rng;
-pub mod scan;
-pub mod semisort;
+mod scan;
 pub mod shuffle;
 pub mod slice;
 pub mod sort;
+mod union_find;
+
+pub use union_find::{first_cycle, UnionFind};
 
 /// Sentinel "null" value used for `u32` indices throughout the workspace.
 pub const NONE_U32: u32 = u32::MAX;
@@ -46,7 +48,7 @@ pub const SEQ_THRESHOLD: usize = 2048;
 /// Smallest chunk [`adaptive_grain`] will hand to a pool thread. Below
 /// this, per-chunk scheduling overhead (an atomic claim plus cache
 /// traffic) rivals the work in the chunk.
-pub const MIN_GRAIN: usize = 256;
+const MIN_GRAIN: usize = 256;
 
 /// Grain size adapted to the current pool and input length.
 ///
@@ -65,6 +67,15 @@ pub fn adaptive_grain(n: usize) -> usize {
         return n.max(1);
     }
     (n / (t * 8)).clamp(MIN_GRAIN, SEQ_THRESHOLD)
+}
+
+/// Pack an unordered pair of `u32` vertex ids into a `u64` key.
+///
+/// Used for undirected-edge maps: `edge_key(u, v) == edge_key(v, u)`.
+#[inline]
+pub fn edge_key(u: u32, v: u32) -> u64 {
+    let (a, b) = if u <= v { (u, v) } else { (v, u) };
+    ((a as u64) << 32) | b as u64
 }
 
 /// Run `f(i)` for every `i in 0..n`, in parallel when `n` is large enough.
@@ -164,6 +175,12 @@ mod tests {
         out.sort_unstable();
         let expect: Vec<usize> = (0..50_000).filter(|i| i % 7 == 0).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn edge_key_symmetric() {
+        assert_eq!(edge_key(3, 9), edge_key(9, 3));
+        assert_ne!(edge_key(3, 9), edge_key(3, 10));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Filter, pack, and flatten — the scan-based gather primitives of §2.1.
+//! Pack and gather — the scan-based primitives of §2.1 that `rc-core`'s
+//! build uses to compact its live vertex set each round.
 
 use crate::scan::scan_exclusive_u32;
 use crate::slice::{uninit_copy_vec, ParSlice};
@@ -41,16 +42,6 @@ pub fn pack_index<F: Fn(usize) -> bool + Sync>(n: usize, pred: F) -> Vec<u32> {
     out
 }
 
-/// Keep the elements satisfying `pred`, preserving order.
-pub fn filter<T, F>(xs: &[T], pred: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    let idx = pack_index(xs.len(), |i| pred(&xs[i]));
-    map_index(&idx, |i| xs[i as usize])
-}
-
 /// Gather `f(i)` for each index in `idx` (parallel map over an index list).
 pub fn map_index<T, F>(idx: &[u32], f: F) -> Vec<T>
 where
@@ -68,39 +59,6 @@ where
     out
 }
 
-/// Concatenate a 2-D structure into a flat vector (§2.1 "flatten").
-pub fn flatten<T: Copy + Send + Sync>(nested: &[Vec<T>]) -> Vec<T> {
-    let mut offsets: Vec<u32> = nested.iter().map(|v| v.len() as u32).collect();
-    let total = scan_exclusive_u32(&mut offsets) as usize;
-    let mut out: Vec<T> = uninit_copy_vec(total);
-    {
-        let ps = ParSlice::new(&mut out);
-        nested.par_iter().enumerate().for_each(|(j, v)| {
-            let off = offsets[j] as usize;
-            for (i, &x) in v.iter().enumerate() {
-                // SAFETY: output ranges [off, off+len) are disjoint across j.
-                unsafe { ps.write(off + i, x) };
-            }
-        });
-    }
-    out
-}
-
-/// Count elements satisfying `pred`.
-pub fn count<T, F>(xs: &[T], pred: F) -> usize
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    let block = adaptive_grain(xs.len());
-    if xs.len() <= block {
-        return xs.iter().filter(|x| pred(x)).count();
-    }
-    xs.par_chunks(block)
-        .map(|c| c.iter().filter(|x| pred(x)).count())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,36 +70,6 @@ mod tests {
             let expect: Vec<u32> = (0..n).filter(|i| i % 3 == 1).map(|i| i as u32).collect();
             assert_eq!(got, expect, "n={n}");
         }
-    }
-
-    #[test]
-    fn filter_preserves_order() {
-        let xs: Vec<u64> = (0..50_000).map(|i| i * 7 % 13).collect();
-        let got = filter(&xs, |&x| x > 6);
-        let expect: Vec<u64> = xs.iter().copied().filter(|&x| x > 6).collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn flatten_matches_concat() {
-        let nested: Vec<Vec<u32>> = (0..1000)
-            .map(|i| (0..(i % 7)).map(|j| (i * 10 + j) as u32).collect())
-            .collect();
-        let got = flatten(&nested);
-        let expect: Vec<u32> = nested.iter().flatten().copied().collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn flatten_all_empty() {
-        let nested: Vec<Vec<u32>> = vec![vec![], vec![], vec![]];
-        assert!(flatten(&nested).is_empty());
-    }
-
-    #[test]
-    fn count_parallel() {
-        let xs: Vec<u32> = (0..100_000).collect();
-        assert_eq!(count(&xs, |&x| x % 10 == 0), 10_000);
     }
 
     #[test]

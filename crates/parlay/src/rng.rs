@@ -1,4 +1,4 @@
-//! Deterministic pseudo-random hashing and a small splittable PRNG.
+//! Deterministic pseudo-random hashing and a small PRNG.
 //!
 //! The RC-tree contraction rule needs a priority `h(seed, vertex, level)`
 //! that is (a) fast, (b) a pure function of its arguments, and (c) of high
@@ -8,22 +8,16 @@
 
 /// The splitmix64 mixing function (Steele, Lea, Flood 2014 finalizer).
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// Hash two words into one, suitable for per-(vertex, level) coin flips.
-#[inline]
-pub fn hash2(a: u64, b: u64) -> u64 {
-    mix64(a ^ mix64(b))
-}
-
 /// Hash three words into one.
 #[inline]
-pub fn hash3(a: u64, b: u64, c: u64) -> u64 {
+pub(crate) fn hash3(a: u64, b: u64, c: u64) -> u64 {
     mix64(a ^ mix64(b ^ mix64(c)))
 }
 
@@ -37,7 +31,7 @@ pub fn priority(seed: u64, v: u32, level: u32) -> (u64, u32) {
     (hash3(seed, v as u64, level as u64), v)
 }
 
-/// A tiny splittable PRNG (splitmix64). Deterministic and `Copy`;
+/// A tiny PRNG (splitmix64). Deterministic and `Copy`;
 /// used by the forest generator and tests instead of the `rand` crate.
 #[derive(Clone, Copy, Debug)]
 pub struct SplitMix64 {
@@ -54,7 +48,7 @@ impl SplitMix64 {
 
     /// Next raw 64-bit output.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -73,14 +67,6 @@ impl SplitMix64 {
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Fork an independent stream (splittable).
-    #[inline]
-    pub fn split(&mut self) -> Self {
-        Self {
-            state: mix64(self.next_u64()),
-        }
     }
 }
 
@@ -129,18 +115,11 @@ mod tests {
     }
 
     #[test]
-    fn split_streams_diverge() {
-        let mut a = SplitMix64::new(1);
-        let mut b = a.split();
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
-    }
-
-    #[test]
     fn coin_balance() {
-        // Heads fraction of hash2 coin flips should be near 1/2.
-        let heads = (0..100_000u64).filter(|&i| hash2(3, i) & 1 == 1).count();
+        // Heads fraction of priority coin flips should be near 1/2.
+        let heads = (0..100_000u32)
+            .filter(|&v| priority(3, v, 0).0 & 1 == 1)
+            .count();
         assert!((48_000..52_000).contains(&heads), "biased coin: {heads}");
     }
 }

@@ -31,16 +31,6 @@ impl<'a, T> ParSlice<'a, T> {
         Self { data }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Write `value` at `i`.
     ///
     /// # Safety
@@ -55,7 +45,7 @@ impl<'a, T> ParSlice<'a, T> {
     /// # Safety
     /// No other thread may be writing index `i` during this parallel phase.
     #[inline]
-    pub unsafe fn read(&self, i: usize) -> T
+    pub(crate) unsafe fn read(&self, i: usize) -> T
     where
         T: Copy,
     {
@@ -80,7 +70,7 @@ impl<'a, T> ParSlice<'a, T> {
 /// This is the standard "result buffer for a scatter" allocation; using
 /// `vec![T::default(); n]` instead would add an O(n) initialization pass,
 /// which shows up in scan/pack benchmarks.
-pub fn uninit_copy_vec<T: Copy>(n: usize) -> Vec<T> {
+pub(crate) fn uninit_copy_vec<T: Copy>(n: usize) -> Vec<T> {
     let mut v = Vec::with_capacity(n);
     // SAFETY: capacity reserved above; `T: Copy` means no drop is run on
     // the uninitialized contents, and callers must overwrite before reading.

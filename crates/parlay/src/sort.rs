@@ -1,8 +1,8 @@
-//! Parallel counting sort and radix sort.
+//! Parallel counting sort and a parallel sort by `u64` key.
 //!
 //! Counting sort is used by the deterministic chain-coloring MIS (§5.10:
-//! "Using a counting sort, we can then deterministically find the MIS") and
-//! radix sort backs the semisort / group-by primitive.
+//! "Using a counting sort, we can then deterministically find the MIS");
+//! the keyed sort backs the parallel shuffle.
 
 use crate::scan::scan_exclusive_u32;
 use crate::slice::{uninit_copy_vec, ParSlice};
@@ -101,26 +101,10 @@ where
 
 /// Parallel sort of items by a `u64` key. Not stable. Wraps rayon's
 /// parallel unstable sort (a fork-join merge sort in the workspace shim).
-pub fn sort_by_u64_key<T, F>(xs: &mut [T], key: F)
+pub(crate) fn sort_by_u64_key<T, F>(xs: &mut [T], key: F)
 where
     T: Copy + Send + Sync,
     F: Fn(&T) -> u64 + Sync + Send,
-{
-    if xs.len() <= SEQ_THRESHOLD {
-        xs.sort_unstable_by_key(|x| key(x));
-    } else {
-        xs.par_sort_unstable_by_key(|x| key(x));
-    }
-}
-
-/// Parallel sort of items by a composite `(u64, u64)` key. Not stable.
-/// Used by the semisort to order by `(hash(key), key)` in a single pass —
-/// hash collisions between distinct keys are broken by the second
-/// component instead of a sequential fix-up re-sort.
-pub fn sort_by_u64_pair_key<T, F>(xs: &mut [T], key: F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> (u64, u64) + Sync + Send,
 {
     if xs.len() <= SEQ_THRESHOLD {
         xs.sort_unstable_by_key(|x| key(x));

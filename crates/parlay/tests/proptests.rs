@@ -4,69 +4,13 @@
 //! `proptest`; `SplitMix64`-driven generation is the repo-wide idiom). Each
 //! property runs many trials over randomized sizes and contents.
 
-use rc_parlay::hashtable::ConcurrentMap;
-use rc_parlay::list::{build_lists, splice_out};
-use rc_parlay::pack::{filter, flatten, pack_index};
+use rc_parlay::pack::{map_index, pack_index};
 use rc_parlay::rng::SplitMix64;
-use rc_parlay::scan::{reduce, scan_exclusive, scan_exclusive_u64};
-use rc_parlay::semisort::group_by_key;
 use rc_parlay::shuffle::random_permutation;
 use rc_parlay::sort::counting_sort_by;
-use rc_parlay::NONE_U32;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 const TRIALS: usize = 24;
-
-fn vec_u64(rng: &mut SplitMix64, max_len: u64, below: u64) -> Vec<u64> {
-    let len = rng.next_below(max_len) as usize;
-    (0..len).map(|_| rng.next_below(below)).collect()
-}
-
-#[test]
-fn scan_matches_sequential() {
-    let mut rng = SplitMix64::new(0xA11CE);
-    for _ in 0..TRIALS {
-        let xs = vec_u64(&mut rng, 5_000, 1_000);
-        let mut par = xs.clone();
-        let total = scan_exclusive_u64(&mut par);
-        let mut acc = 0u64;
-        let mut seq = Vec::with_capacity(xs.len());
-        for &x in &xs {
-            seq.push(acc);
-            acc += x;
-        }
-        assert_eq!(total, acc);
-        assert_eq!(par, seq);
-    }
-}
-
-#[test]
-fn scan_max_is_running_max() {
-    let mut rng = SplitMix64::new(0xB0B);
-    for _ in 0..TRIALS {
-        let len = 1 + rng.next_below(2_000) as usize;
-        let xs: Vec<i64> = (0..len)
-            .map(|_| rng.next_below(2_000) as i64 - 1_000)
-            .collect();
-        let mut par = xs.clone();
-        let total = scan_exclusive(&mut par, i64::MIN, |a, b| a.max(b));
-        assert_eq!(total, xs.iter().copied().max().unwrap());
-        let mut m = i64::MIN;
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(par[i], m);
-            m = m.max(x);
-        }
-    }
-}
-
-#[test]
-fn reduce_equals_fold() {
-    let mut rng = SplitMix64::new(0xC0DE);
-    for _ in 0..TRIALS {
-        let xs = vec_u64(&mut rng, 3_000, 100);
-        assert_eq!(reduce(&xs, 0, |a, b| a + b), xs.iter().sum::<u64>());
-    }
-}
 
 #[test]
 fn pack_and_filter_agree() {
@@ -79,26 +23,10 @@ fn pack_and_filter_agree() {
             .filter(|&i| xs[i as usize].is_multiple_of(2))
             .collect();
         assert_eq!(idx, manual);
-        let f = filter(&xs, |&x| x > 25);
+        // Filter as rc-core's build compacts its live set: pack, then gather.
+        let kept = map_index(&pack_index(xs.len(), |i| xs[i] > 25), |i| xs[i as usize]);
         let manual2: Vec<u32> = xs.iter().copied().filter(|&x| x > 25).collect();
-        assert_eq!(f, manual2);
-    }
-}
-
-#[test]
-fn flatten_is_concat() {
-    let mut rng = SplitMix64::new(0xF1A7);
-    for _ in 0..TRIALS {
-        let outer = rng.next_below(200) as usize;
-        let nested: Vec<Vec<u32>> = (0..outer)
-            .map(|_| {
-                let inner = rng.next_below(10) as usize;
-                (0..inner).map(|_| rng.next_below(100) as u32).collect()
-            })
-            .collect();
-        let got = flatten(&nested);
-        let expect: Vec<u32> = nested.iter().flatten().copied().collect();
-        assert_eq!(got, expect);
+        assert_eq!(kept, manual2);
     }
 }
 
@@ -119,41 +47,6 @@ fn counting_sort_sorts_stably() {
 }
 
 #[test]
-fn group_by_is_partition() {
-    let mut rng = SplitMix64::new(0x6209);
-    for trial in 0..TRIALS {
-        let len = rng.next_below(2_000) as usize;
-        let pairs: Vec<(u64, u32)> = (0..len)
-            .map(|_| (rng.next_below(64), rng.next_below(10_000) as u32))
-            .collect();
-        let (sorted, ranges) = group_by_key(&pairs, 99 + trial as u64);
-        let mut re: HashMap<u64, Vec<u32>> = HashMap::new();
-        for &(lo, hi) in &ranges {
-            let k = sorted[lo as usize].0;
-            assert!(!re.contains_key(&k), "key {k} split across groups");
-            re.insert(
-                k,
-                sorted[lo as usize..hi as usize]
-                    .iter()
-                    .map(|&(_, v)| v)
-                    .collect(),
-            );
-        }
-        let mut want: HashMap<u64, Vec<u32>> = HashMap::new();
-        for &(k, v) in &pairs {
-            want.entry(k).or_default().push(v);
-        }
-        for (k, mut vs) in want {
-            let mut got = re.remove(&k).unwrap();
-            got.sort_unstable();
-            vs.sort_unstable();
-            assert_eq!(got, vs);
-        }
-        assert!(re.is_empty());
-    }
-}
-
-#[test]
 fn permutation_is_bijective() {
     let mut rng = SplitMix64::new(0x9e37);
     for _ in 0..TRIALS {
@@ -163,51 +56,5 @@ fn permutation_is_bijective() {
         let set: HashSet<u32> = p.iter().copied().collect();
         assert_eq!(set.len(), n);
         assert!(p.iter().all(|&x| (x as usize) < n));
-    }
-}
-
-#[test]
-fn hash_map_semantics() {
-    let mut rng = SplitMix64::new(0x11A5);
-    for _ in 0..TRIALS {
-        let nops = rng.next_below(500) as usize;
-        let m = ConcurrentMap::with_capacity(256);
-        let mut reference: HashMap<u64, u64> = HashMap::new();
-        for _ in 0..nops {
-            let k = rng.next_below(50);
-            let v = rng.next_below(100);
-            if v.is_multiple_of(5) {
-                assert_eq!(m.remove(k), reference.remove(&k));
-            } else {
-                assert_eq!(m.insert(k, v), reference.insert(k, v));
-            }
-        }
-        for k in 0..50u64 {
-            assert_eq!(m.get(k), reference.get(&k).copied());
-        }
-    }
-}
-
-#[test]
-fn splice_preserves_survivors() {
-    let mut rng = SplitMix64::new(0x571C);
-    for _ in 0..TRIALS {
-        let n = 2 + rng.next_below(298) as u32;
-        let marks: Vec<bool> = (0..n).map(|_| rng.next_f64() < 0.5).collect();
-        let seed = rng.next_below(100);
-        let chain: Vec<u32> = (0..n).collect();
-        let (mut next, mut prev) = build_lists(n as usize, std::slice::from_ref(&chain));
-        let marked: Vec<u32> = (0..n).filter(|&v| marks[v as usize]).collect();
-        splice_out(&mut next, &mut prev, &marked, seed);
-        let survivors: Vec<u32> = (0..n).filter(|&v| !marks[v as usize]).collect();
-        if let Some(&first) = survivors.first() {
-            let mut walked = vec![first];
-            let mut cur = first;
-            while next[cur as usize] != NONE_U32 {
-                cur = next[cur as usize];
-                walked.push(cur);
-            }
-            assert_eq!(walked, survivors);
-        }
     }
 }

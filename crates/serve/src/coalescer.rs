@@ -49,7 +49,7 @@ use rc_obs::{
     trace_sampled, EpochTrace, HealthView, MetricsSnapshot, ObsServer, ObsServerConfig, ObsSource,
     Probe, TraceDump, Watchdog, WatchdogConfig,
 };
-use rc_parlay::hashtable::edge_key;
+use rc_parlay::edge_key;
 use rc_store::{EpochRecord, FlushRecord, RecoveryReport, Store, StoreConfig, StoreError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,6 +57,9 @@ use std::sync::mpsc::Receiver;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Submission-queue shards (reduce producer contention).
+const SHARDS: usize = 8;
 
 /// Batching policy and instrumentation knobs.
 ///
@@ -75,8 +78,6 @@ pub struct ServeConfig {
     /// Longest time the worker lingers waiting for more requests after
     /// the first one arrives.
     pub max_linger: Duration,
-    /// Submission-queue shards (reduces producer contention).
-    pub shards: usize,
     /// Record every request + response in commit order (tests/audits).
     pub record_commit_log: bool,
     /// [`EpochTrace`] records retained in the flight-recorder ring
@@ -120,7 +121,6 @@ impl Default for ServeConfig {
             max_epoch_ops: 8_192,
             drain_threshold: 1_024,
             max_linger: Duration::from_micros(200),
-            shards: 8,
             record_commit_log: false,
             flight_recorder: 256,
             trace_sample: 64,
@@ -283,9 +283,7 @@ impl RcServe {
             tel.set_store_metrics(store.metrics().clone());
         }
         let shared = Arc::new(Shared {
-            shards: (0..cfg.shards.max(1))
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             qlen: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
             rr: AtomicUsize::new(0),

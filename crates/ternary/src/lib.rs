@@ -11,12 +11,16 @@
 //! preserved (Thms 4.3-4.7).
 //!
 //! The layer is a black box, as in the paper: it accepts batches of real
-//! add/delete edges, translates them (hash table + chain splicing), and
-//! forwards one batch update to the inner [`RcForest`].
+//! add/delete edges, translates them (edge map + chain splicing), and
+//! forwards one batch update to the inner [`RcForest`]. The translation
+//! runs on one thread: the edge map is a `std` `HashMap` from
+//! [`edge_key`] to the edge's two dummies, and `batch_cut` splices the
+//! chains itself. Only the inner update is parallel.
 
 use rc_core::aggregate::{ClusterAggregate, PathAggregate, SubtreeAggregate};
 use rc_core::{CompressedPathTree, ForestError, MarkedSweep, RcForest, Vertex};
-use rc_parlay::hashtable::{edge_key, ConcurrentMap};
+use rc_parlay::{edge_key, first_cycle};
+use std::collections::{HashMap, HashSet};
 
 mod backend;
 pub use backend::{TernAgg, TernaryStdForest};
@@ -54,7 +58,7 @@ pub struct TernaryForest<A: ClusterAggregate> {
     free: Vec<u32>,
     /// `edge_key(u, v)` -> packed `(d_min << 32) | d_max` where `d_min`
     /// lies on `min(u,v)`'s chain.
-    edge_map: ConcurrentMap,
+    edge_map: HashMap<u64, u64>,
     num_edges: usize,
 }
 
@@ -76,7 +80,7 @@ impl<A: ClusterAggregate> TernaryForest<A> {
             prev: vec![NONE32; cap],
             tail: (0..n as u32).collect(),
             free: (n as u32..cap as u32).rev().collect(),
-            edge_map: ConcurrentMap::with_capacity(2 * n.max(2)),
+            edge_map: HashMap::new(),
             num_edges: 0,
         }
     }
@@ -114,13 +118,13 @@ impl<A: ClusterAggregate> TernaryForest<A> {
 
     /// Does edge `{u, v}` exist?
     pub fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
-        u != v && self.edge_map.get(edge_key(u, v)).is_some()
+        u != v && self.edge_map.contains_key(&edge_key(u, v))
     }
 
     /// The two dummies realizing real edge `{u, v}`: `(on u's chain, on
     /// v's chain)`.
     pub fn dummies_of(&self, u: Vertex, v: Vertex) -> Option<(u32, u32)> {
-        let packed = self.edge_map.get(edge_key(u, v))?;
+        let packed = *self.edge_map.get(&edge_key(u, v))?;
         let lo_side = (packed >> 32) as u32;
         let hi_side = packed as u32;
         if u <= v {
@@ -140,7 +144,7 @@ impl<A: ClusterAggregate> TernaryForest<A> {
     ) -> Result<(), ForestError> {
         // Validation against the real forest, including cycles among the
         // new edges (union-find over current components).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for &(u, v, _) in links {
             if u as usize >= self.n {
                 return Err(ForestError::VertexOutOfRange { v: u, n: self.n });
@@ -158,24 +162,11 @@ impl<A: ClusterAggregate> TernaryForest<A> {
         {
             let starts: Vec<Vertex> = links.iter().flat_map(|&(u, v, _)| [u, v]).collect();
             let reprs = self.inner.batch_find_representatives(&starts);
-            let mut uf: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-            fn find(uf: &mut std::collections::HashMap<u32, u32>, x: u32) -> u32 {
-                let p = *uf.entry(x).or_insert(x);
-                if p == x {
-                    x
-                } else {
-                    let r = find(uf, p);
-                    uf.insert(x, r);
-                    r
-                }
-            }
-            for (i, &(u, v, _)) in links.iter().enumerate() {
-                let (ru, rv) = (reprs[2 * i], reprs[2 * i + 1]);
-                let (a, b) = (find(&mut uf, ru), find(&mut uf, rv));
-                if a == b {
-                    return Err(ForestError::WouldCreateCycle { u, v });
-                }
-                uf.insert(a, b);
+            let pairs: Vec<(Vertex, Vertex)> =
+                reprs.chunks_exact(2).map(|r| (r[0], r[1])).collect();
+            if let Some(i) = first_cycle(&pairs) {
+                let (u, v) = (links[i].0, links[i].1);
+                return Err(ForestError::WouldCreateCycle { u, v });
             }
         }
         // Translate: allocate dummies, extend chains, cross-link.
@@ -213,7 +204,7 @@ impl<A: ClusterAggregate> TernaryForest<A> {
     /// Delete a batch of existing real edges. Each delete contributes at
     /// most 5 inner deletions and 2 inner insertions (Thm 4.2).
     pub fn batch_cut(&mut self, cuts: &[(Vertex, Vertex)]) -> Result<(), ForestError> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for &(u, v) in cuts {
             if u as usize >= self.n {
                 return Err(ForestError::VertexOutOfRange { v: u, n: self.n });
@@ -228,11 +219,11 @@ impl<A: ClusterAggregate> TernaryForest<A> {
         let mut inner_cuts: Vec<(u32, u32)> = Vec::with_capacity(cuts.len() * 3);
         let mut inner_links: Vec<(u32, u32, A::EdgeWeight)> = Vec::with_capacity(cuts.len());
         // Cross edges + the set of dummies leaving their chains.
-        let mut removed: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut removed: HashSet<u32> = HashSet::new();
         for &(u, v) in cuts {
             let (du, dv) = self.dummies_of(u, v).expect("validated");
             inner_cuts.push((du, dv));
-            self.edge_map.remove(edge_key(u, v));
+            self.edge_map.remove(&edge_key(u, v));
             removed.insert(du);
             removed.insert(dv);
         }

@@ -79,6 +79,62 @@ fn ternary_vs_lct_uncapped() {
     assert!(report.rejected > 0);
 }
 
+/// Ternarized RC vs the uncapped naive oracle under churn of fresh
+/// edges: each pair cuts a random edge and links a random pair across
+/// the two components it leaves, so almost every edge key the ternary
+/// edge map sees is new, and over the run it sees many times more keys
+/// than the forest has edges at once.
+#[test]
+fn ternary_vs_naive_fresh_edge_churn() {
+    use rcforest::parlay::rng::SplitMix64;
+    let n = 256;
+    let pairs = if cfg!(debug_assertions) {
+        4_000
+    } else {
+        20_000
+    };
+    let mut rng = SplitMix64::new(0xD1F_005);
+    let mut tern = TernaryStdForest::new_std(n);
+    let mut naive = NaiveStdForest::new(n);
+    let mut edges: Vec<(u32, u32)> = (1..n as u32)
+        .map(|v| (rng.next_below(v as u64) as u32, v))
+        .collect();
+    let initial: Vec<(u32, u32, u64)> = edges.iter().map(|&(u, v)| (u, v, 1)).collect();
+    assert_eq!(
+        DynamicForest::batch_link(&mut tern, &initial),
+        naive.batch_link(&initial)
+    );
+    for pair in 0..pairs {
+        let i = rng.next_below(edges.len() as u64) as usize;
+        let (u, v) = edges[i];
+        assert_eq!(
+            DynamicForest::batch_cut(&mut tern, &[(u, v)]),
+            naive.batch_cut(&[(u, v)]),
+            "pair {pair}: cut {u},{v}"
+        );
+        let (side_u, side_v) = (naive.forest().component(u), naive.forest().component(v));
+        let x = side_u[rng.next_below(side_u.len() as u64) as usize];
+        let y = side_v[rng.next_below(side_v.len() as u64) as usize];
+        let w = 1 + rng.next_below(1 << 40);
+        assert_eq!(
+            DynamicForest::batch_link(&mut tern, &[(x, y, w)]),
+            naive.batch_link(&[(x, y, w)]),
+            "pair {pair}: link {x},{y}"
+        );
+        for (a, b) in [(u, v), (x, y)] {
+            assert_eq!(
+                tern.has_edge(a, b),
+                naive.forest().edge_weight(a, b).is_some(),
+                "pair {pair}: has_edge {a},{b}"
+            );
+        }
+        edges[i] = (x, y);
+        if pair % 1_000 == 999 {
+            assert_eq!(tern.export_state(), naive.export_state(), "pair {pair}");
+        }
+    }
+}
+
 /// RC vs naive under an update-heavy mix (structural churn dominates).
 #[test]
 fn rc_vs_naive_update_heavy() {

@@ -3,8 +3,8 @@
 //! HTTP over TCP, per-request causal traces with contiguous spans that
 //! account for the measured end-to-end latency, deterministic 1-in-N
 //! sampling, the always-on slow-request capture, the epoch-stall
-//! watchdog flipping `/ready`, and refusals of hostile requests that
-//! reach the peer before the close.
+//! watchdog flipping `/ready`, and responses (refusals of hostile
+//! requests included) that reach the peer before the close.
 
 use rcforest::serve::{
     Durability, ObsServerConfig, RcServe, Request, Response, ServeClient, ServeConfig, ServeForest,
@@ -577,6 +577,65 @@ fn refusals_reach_the_peer_before_the_close() {
         }
     }
     drop((obs, busy));
+    server.shutdown();
+}
+
+#[test]
+fn a_get_with_a_body_reads_its_response_not_a_reset() {
+    // The head read stops at the blank line and leaves the body unread.
+    // Closing over it would reset the connection and destroy the 200.
+    let server = path_server(8, ServeConfig::default());
+    let obs = server
+        .serve_obs(ObsServerConfig::default())
+        .expect("bind endpoint");
+    let mut request = b"GET /health HTTP/1.0\r\nContent-Length: 2000\r\n\r\n".to_vec();
+    request.extend_from_slice(&[b'x'; 2000]);
+    for i in 0..20 {
+        let resp = exchange(obs.local_addr(), &request, false)
+            .unwrap_or_else(|e| panic!("connection {i} ended in {e}"));
+        assert!(
+            resp.starts_with(b"HTTP/1.0 200 "),
+            "connection {i} read {:?}",
+            String::from_utf8_lossy(&resp)
+        );
+    }
+    drop(obs);
+    server.shutdown();
+}
+
+#[test]
+fn refused_peers_that_stay_open_leave_the_endpoint_available() {
+    // As many peers as the default endpoint has slots send a refused
+    // request, read the refusal to the endpoint's half-close, and keep
+    // their sockets open. Their connections' threads are still
+    // discarding, but a written response frees its slot, so a scraper
+    // gets its answer instead of a 503.
+    let server = path_server(8, ServeConfig::default());
+    let cfg = ObsServerConfig::default();
+    let slots = cfg.max_connections;
+    let obs = server.serve_obs(cfg).expect("bind endpoint");
+    let addr = obs.local_addr();
+    let held: Vec<TcpStream> = (0..slots)
+        .map(|i| {
+            let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(b"POST /metrics HTTP/1.0\r\n\r\n")
+                .expect("send request");
+            let mut resp = Vec::new();
+            s.read_to_end(&mut resp).expect("read the refusal");
+            assert!(
+                resp.starts_with(b"HTTP/1.0 405 "),
+                "peer {i} read {:?}",
+                String::from_utf8_lossy(&resp)
+            );
+            s
+        })
+        .collect();
+    let (status, body) = http_get(addr, "/health");
+    assert!(status.contains("200"), "{status}");
+    assert!(body.contains("\"healthy\":true"), "{body}");
+    drop(held);
+    drop(obs);
     server.shutdown();
 }
 

@@ -7,7 +7,7 @@
 
 use crate::aggregate::ClusterAggregate;
 use crate::decide::{decide_deterministic, decide_randomized};
-use crate::forest::{BuildOptions, ContractionMode, EdgeArena, MarkSpace, RcForest, VertexCluster};
+use crate::forest::{BuildOptions, ContractionMode, EdgeArena, RcForest, VertexCluster};
 use crate::types::*;
 use rc_parlay::pack::pack_index;
 use rc_parlay::slice::ParSlice;
@@ -78,7 +78,8 @@ impl<A: ClusterAggregate> RcForest<A> {
             vertex_weights,
             edges: EdgeArena::new(),
             levels: 0,
-            marks: MarkSpace::new(n),
+            stamps: vec![0; n],
+            stamp_epoch: 0,
             version: 0,
             scratch: Default::default(),
         };

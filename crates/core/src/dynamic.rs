@@ -251,14 +251,15 @@ impl<A: ClusterAggregate> RcForest<A> {
         }
         // Reserve one epoch per possible level plus slack for growth.
         let max_levels = (self.levels as u64 + 96) * 2;
-        let base_epoch = self.marks.new_epochs(max_levels);
+        let base_epoch = self.stamp_epoch + 1;
+        self.stamp_epoch += max_levels;
         let epoch_of = |level: u32| base_epoch + level as u64;
 
         // ---- level-0 surgery ----
         let mut frontier: Vec<FrontEntry> = Vec::new();
-        let claim0 = |f: &mut Vec<FrontEntry>, marks: &crate::forest::MarkSpace, v: Vertex| {
-            if marks.claim(v, epoch_of(0)) {
-                f.push(FrontEntry {
+        let mut claim0 = |v: Vertex| {
+            if claim(&mut self.stamps, v, epoch_of(0)) {
+                frontier.push(FrontEntry {
                     v,
                     old_rec: None,
                     rec_changed: true,
@@ -267,12 +268,12 @@ impl<A: ClusterAggregate> RcForest<A> {
             }
         };
         for &(u, v) in cuts {
-            claim0(&mut frontier, &self.marks, u);
-            claim0(&mut frontier, &self.marks, v);
+            claim0(u);
+            claim0(v);
         }
         for &(u, v, _) in links {
-            claim0(&mut frontier, &self.marks, u);
-            claim0(&mut frontier, &self.marks, v);
+            claim0(u);
+            claim0(v);
         }
         // Capture pre-surgery records for the frontier.
         for fe in frontier.iter_mut() {
@@ -401,7 +402,7 @@ impl<A: ClusterAggregate> RcForest<A> {
                         let live = h.len() > level as usize
                             && (level == 0 || h[(level - 1) as usize].event == Event::Live)
                             && (h.len() - 1) as u32 >= level;
-                        if live && self.marks.claim(u, epoch) {
+                        if live && claim(&mut self.stamps, u, epoch) {
                             extra.push(u);
                         }
                     };
@@ -429,14 +430,13 @@ impl<A: ClusterAggregate> RcForest<A> {
             // are read from their stored records.
             {
                 let me: &RcForest<A> = self;
-                let marks = &me.marks;
                 let decided: Vec<Event> = frontier
                     .par_iter()
                     .with_min_len(UPDATE_MIN_LEN)
                     .map(|fe| {
                         decide_randomized(me, fe.v, level, &|u| {
                             let h = &me.histories[u as usize];
-                            let in_frontier = marks.is_marked(u, epoch);
+                            let in_frontier = me.stamps[u as usize] == epoch;
                             if !in_frontier && h.len() > level as usize {
                                 Some(h[level as usize].event)
                             } else {
@@ -471,12 +471,11 @@ impl<A: ClusterAggregate> RcForest<A> {
                     })
                     .collect();
 
-                let mark_next =
-                    |marks: &crate::forest::MarkSpace, out: &mut Vec<Vertex>, u: Vertex| {
-                        if marks.claim(u, epoch_next) {
-                            out.push(u);
-                        }
-                    };
+                let mark_next = |stamps: &mut [u64], out: &mut Vec<Vertex>, u: Vertex| {
+                    if claim(stamps, u, epoch_next) {
+                        out.push(u);
+                    }
+                };
 
                 for (i, fe) in frontier.iter().enumerate() {
                     let v = fe.v;
@@ -494,7 +493,7 @@ impl<A: ClusterAggregate> RcForest<A> {
                         if old_len > (level + 1) as usize {
                             let old_next = self.histories[v as usize][(level + 1) as usize];
                             for e in old_next.live() {
-                                mark_next(&self.marks, &mut next_marks, e.nbr);
+                                mark_next(&mut self.stamps, &mut next_marks, e.nbr);
                             }
                         }
                         self.histories[v as usize].truncate(level as usize + 1);
@@ -514,7 +513,7 @@ impl<A: ClusterAggregate> RcForest<A> {
                         }
                     } else {
                         // Survivor: must rebuild its next-level record.
-                        mark_next(&self.marks, &mut next_marks, v);
+                        mark_next(&mut self.stamps, &mut next_marks, v);
                     }
                     if event_changed || fe.rec_changed {
                         // The event (or, for a re-contraction, the changed
@@ -522,11 +521,11 @@ impl<A: ClusterAggregate> RcForest<A> {
                         // neighbor) rewires neighbors' next-level records.
                         if let Some(o) = &fe.old_rec {
                             for e in o.live() {
-                                mark_next(&self.marks, &mut next_marks, e.nbr);
+                                mark_next(&mut self.stamps, &mut next_marks, e.nbr);
                             }
                         }
                         for e in self.histories[v as usize][level as usize].live() {
-                            mark_next(&self.marks, &mut next_marks, e.nbr);
+                            mark_next(&mut self.stamps, &mut next_marks, e.nbr);
                         }
                     }
                 }
@@ -575,10 +574,11 @@ impl<A: ClusterAggregate> RcForest<A> {
         if seed.is_empty() {
             return;
         }
-        let epoch = self.marks.new_epochs(1);
+        self.stamp_epoch += 1;
+        let epoch = self.stamp_epoch;
         let mut buckets: Vec<Vec<Vertex>> = vec![Vec::new(); (self.levels + 1) as usize];
         for v in seed {
-            if self.marks.claim(v, epoch) {
+            if claim(&mut self.stamps, v, epoch) {
                 buckets[self.cluster(v).round as usize].push(v);
             }
         }
@@ -605,7 +605,7 @@ impl<A: ClusterAggregate> RcForest<A> {
                 }
             }
             for p in parents {
-                if self.marks.claim(p, epoch) {
+                if claim(&mut self.stamps, p, epoch) {
                     let pr = self.cluster(p).round as usize;
                     debug_assert!(pr > r);
                     buckets[pr].push(p);
@@ -613,6 +613,11 @@ impl<A: ClusterAggregate> RcForest<A> {
             }
         }
     }
+}
+
+/// Stamp `v` with `epoch`; true when it was not stamped with it yet.
+fn claim(stamps: &mut [u64], v: Vertex, epoch: u64) -> bool {
+    std::mem::replace(&mut stamps[v as usize], epoch) != epoch
 }
 
 #[cfg(test)]

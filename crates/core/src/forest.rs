@@ -12,7 +12,6 @@ use crate::aggregate::ClusterAggregate;
 use crate::types::*;
 use rc_parlay::inline::InlineVec;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the contraction rounds choose their independent sets.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -164,60 +163,6 @@ impl<A: ClusterAggregate> EdgeArena<A> {
     }
 }
 
-/// Epoch-stamped atomic marks over vertices; supports concurrent claim
-/// operations without ever clearing (O(n) allocated once).
-pub(crate) struct MarkSpace {
-    epoch: AtomicU64,
-    stamp: Vec<AtomicU64>,
-}
-
-impl MarkSpace {
-    pub(crate) fn new(n: usize) -> Self {
-        MarkSpace {
-            epoch: AtomicU64::new(0),
-            stamp: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Reserve `count` fresh epochs; returns the first.
-    pub(crate) fn new_epochs(&self, count: u64) -> u64 {
-        self.epoch.fetch_add(count, Ordering::Relaxed) + 1
-    }
-
-    /// Atomically claim `v` under `epoch`; true when this call claimed it.
-    pub(crate) fn claim(&self, v: Vertex, epoch: u64) -> bool {
-        let s = &self.stamp[v as usize];
-        let mut cur = s.load(Ordering::Relaxed);
-        loop {
-            if cur == epoch {
-                return false;
-            }
-            match s.compare_exchange_weak(cur, epoch, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Is `v` marked under `epoch`?
-    pub(crate) fn is_marked(&self, v: Vertex, epoch: u64) -> bool {
-        self.stamp[v as usize].load(Ordering::Relaxed) == epoch
-    }
-}
-
-impl Clone for MarkSpace {
-    fn clone(&self) -> Self {
-        // Clones get fresh (zeroed) marks; epochs are per-instance scratch.
-        MarkSpace::new(self.stamp.len())
-    }
-}
-
-impl std::fmt::Debug for MarkSpace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MarkSpace(n={})", self.stamp.len())
-    }
-}
-
 /// A batch-parallel dynamic forest over at most `n` vertices of degree ≤ 3,
 /// maintained as an RC (rake–compress) tree with augmented values `A`.
 ///
@@ -242,7 +187,13 @@ pub struct RcForest<A: ClusterAggregate> {
     pub(crate) edges: EdgeArena<A>,
     /// Total number of contraction rounds (max round + 1).
     pub(crate) levels: u32,
-    pub(crate) marks: MarkSpace,
+    /// Claim stamps of change propagation and the value pass:
+    /// `stamps[v] == e` means `v` was claimed under epoch `e`. Only
+    /// `&mut self` paths stamp, and epochs are never reused, so the array
+    /// needs no atomics and is never cleared.
+    pub(crate) stamps: Vec<u64>,
+    /// Last stamp epoch handed out.
+    pub(crate) stamp_epoch: u64,
     /// Monotone modification counter; see [`RcForest::version`].
     pub(crate) version: u64,
     /// Pooled arenas for the marked-subtree query engine
@@ -577,7 +528,8 @@ impl<A: ClusterAggregate> Clone for RcForest<A> {
             vertex_weights: self.vertex_weights.clone(),
             edges: self.edges.clone(),
             levels: self.levels,
-            marks: self.marks.clone(),
+            stamps: self.stamps.clone(),
+            stamp_epoch: self.stamp_epoch,
             version: self.version,
             scratch: Default::default(),
         }

@@ -14,8 +14,9 @@
 //! # Architecture: the marked-subtree engine
 //!
 //! All batch queries route through one engine ([`MarkedSweep`], obtained
-//! from [`RcForest::marked_sweep`]): start-vertex validation and dedup,
-//! the atomic ancestor-marking pass, and generic `top_down` /
+//! from [`RcForest::marked_sweep`]): start-vertex filtering, the
+//! ancestor-marking pass that claims each node once in the sweep's own
+//! slot map, and generic `top_down` /
 //! `bottom_up` visitor passes over the marked subtree, backed by pooled
 //! per-forest scratch arenas. Each query family is a visitor plus an
 //! `O(1)`-per-query assembly step; the [`queries`] module documents the

@@ -6,9 +6,11 @@
 //!    ids — the per-query answer for those is uniformly `None`, see
 //!    [`crate::queries`]);
 //! 2. **mark** every RC-tree ancestor of the start vertices' clusters,
-//!    atomically claiming each node so shared ancestor paths are walked
-//!    once (§5.6); by Theorem A.2 the claimed set has `O(k log(1 + n/k))`
-//!    nodes;
+//!    claiming each node once in the sweep's own slot map so shared
+//!    ancestor paths are walked once (§5.6); by Theorem A.2 the claimed
+//!    set has `O(k log(1 + n/k))` nodes. Batches of at most
+//!    `SEQ_THRESHOLD` starts claim sequentially, larger ones in parallel
+//!    with a CAS per claim;
 //! 3. run a **top-down** (or bottom-up) computation over the marked
 //!    subtree, bucketed by contraction round;
 //! 4. assemble per-query answers from the per-cluster values.
@@ -28,7 +30,13 @@ use crate::forest::RcForest;
 use crate::types::{Vertex, NO_VERTEX};
 use rc_parlay::slice::ParSlice;
 use rc_parlay::{adaptive_grain, parallel_collect, parallel_for_grain, NONE_U32, SEQ_THRESHOLD};
+use std::sync::atomic::AtomicU32;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Mutex;
+
+/// Slot-map value of a vertex claimed by a parallel walk but not yet
+/// numbered. Vertex ids, and so slot indices, stay below `2^31`.
+const CLAIMED: u32 = NONE_U32 - 1;
 
 /// Reusable arenas backing one [`MarkedSweep`]: the compact marked-subtree
 /// representation plus staging buffers. Pooled per forest; steady-state
@@ -37,9 +45,11 @@ use std::sync::Mutex;
 pub(crate) struct QueryScratch {
     /// Representative vertices of the marked clusters (compact slots).
     nodes: Vec<Vertex>,
-    /// Vertex → compact slot; length `n`, `NONE_U32` when unmarked.
-    /// Cleared sparsely (via `nodes`) when the sweep is released.
-    slot_of: Vec<u32>,
+    /// Vertex → compact slot; length `n`, `NONE_U32` when unmarked. The
+    /// sweep's only claim on a vertex. Atomic so parallel walks can CAS;
+    /// a `Relaxed` load or store is a plain move. Cleared sparsely (via
+    /// `nodes`) when the sweep is released.
+    slot_of: Vec<AtomicU32>,
     /// Compact parent slot (`NONE_U32` for roots).
     parent: Vec<u32>,
     /// Contraction round per slot.
@@ -101,8 +111,8 @@ impl<A: ClusterAggregate> RcForest<A> {
     }
 
     /// Mark the RC-tree ancestors of every in-range vertex yielded by
-    /// `starts` (duplicates welcome — they dedup against the atomic
-    /// claims) and return the engine handle over the marked subtree.
+    /// `starts` (duplicates welcome — a repeated start stops at its own
+    /// claim) and return the engine handle over the marked subtree.
     ///
     /// `O(k log(1 + n/k))` expected work for `k` starts, `O(log n)` span.
     pub fn marked_sweep<I>(&self, starts: I) -> MarkedSweep<'_, A>
@@ -122,65 +132,69 @@ impl<A: ClusterAggregate> RcForest<A> {
         }
     }
 
-    /// Step 2: claim ancestor paths, collecting claimed representatives
-    /// into `scratch.nodes`.
+    /// Step 2: claim ancestor paths in the sweep's own slot map, collecting
+    /// the claimed representatives into `scratch.nodes`. A walk stops at
+    /// the first vertex already claimed, whose claimant walks on from it.
     fn mark_ancestors(&self, scratch: &mut QueryScratch) {
-        let epoch = self.marks.new_epochs(1);
-        let starts = &scratch.starts;
-        scratch.nodes.clear();
-        let walk = |start: Vertex, acc: &mut Vec<Vertex>| {
-            let mut v = start;
-            loop {
-                if !self.marks.claim(v, epoch) {
-                    break; // another start owns this ancestor path
-                }
-                acc.push(v);
-                let p = self.clusters[v as usize].parent;
-                if p.is_none() {
-                    break;
-                }
-                v = p.as_vertex();
-            }
-        };
+        // The slot map is allocated once per forest and cleared sparsely.
+        if scratch.slot_of.len() < self.n {
+            scratch
+                .slot_of
+                .resize_with(self.n, || AtomicU32::new(NONE_U32));
+        }
+        let QueryScratch {
+            starts,
+            nodes,
+            slot_of,
+            ..
+        } = scratch;
+        nodes.clear();
         if starts.len() <= SEQ_THRESHOLD {
-            // Common case: walk into the pooled buffer, no allocation.
-            let (starts, nodes) = (&scratch.starts, &mut scratch.nodes);
-            for &s in starts {
-                walk(s, nodes);
+            // Common case: claim and number in one pass, no allocation.
+            for &s in starts.iter() {
+                let mut v = s;
+                while slot_of[v as usize].load(Relaxed) == NONE_U32 {
+                    slot_of[v as usize].store(nodes.len() as u32, Relaxed);
+                    nodes.push(v);
+                    let p = self.clusters[v as usize].parent;
+                    if p.is_none() {
+                        break;
+                    }
+                    v = p.as_vertex();
+                }
             }
         } else {
-            let mut collected = parallel_collect(starts.len(), |i, acc| walk(starts[i], acc));
-            scratch.nodes.append(&mut collected);
+            // Walks race for shared ancestors, so a claim is a CAS to
+            // `CLAIMED`, tried only after a load sees the vertex free: most
+            // walks end at a claimed ancestor, and a failed CAS still takes
+            // its cache line exclusively. Slots are numbered after the
+            // join, which publishes every claim to this thread.
+            let slot_of = &*slot_of;
+            *nodes = parallel_collect(starts.len(), |i, acc| {
+                let mut v = starts[i];
+                while slot_of[v as usize].load(Relaxed) == NONE_U32
+                    && slot_of[v as usize]
+                        .compare_exchange(NONE_U32, CLAIMED, Relaxed, Relaxed)
+                        .is_ok()
+                {
+                    acc.push(v);
+                    let p = self.clusters[v as usize].parent;
+                    if p.is_none() {
+                        break;
+                    }
+                    v = p.as_vertex();
+                }
+            });
+            for (i, &v) in nodes.iter().enumerate() {
+                slot_of[v as usize].store(i as u32, Relaxed);
+            }
         }
     }
 
-    /// Step 3 prep: build the compact slot map, parents and CSR round
-    /// buckets over the marked nodes.
+    /// Step 3 prep: build the parents and CSR round buckets over the
+    /// marked nodes.
     fn index_marked(&self, scratch: &mut QueryScratch) {
-        // The slot map is allocated once per forest and cleared sparsely.
-        if scratch.slot_of.len() < self.n {
-            scratch.slot_of.resize(self.n, NONE_U32);
-        }
-        // Defensive dedup: two sweeps running concurrently on one forest
-        // can each re-claim a vertex the other just stamped (the epoch CAS
-        // only rejects the *own* epoch), leaving duplicate path fragments
-        // in `nodes`. The marked set is still a superset of the true one,
-        // so dropping repeats restores a consistent subtree. Slots are
-        // assigned in the same pass.
-        let len = {
-            let (nodes, slot_of) = (&mut scratch.nodes, &mut scratch.slot_of);
-            let mut len = 0;
-            for i in 0..nodes.len() {
-                let v = nodes[i];
-                if slot_of[v as usize] == NONE_U32 {
-                    slot_of[v as usize] = len as u32;
-                    nodes[len] = v;
-                    len += 1;
-                }
-            }
-            nodes.truncate(len);
-            len
-        };
+        let len = scratch.nodes.len();
         scratch.parent.clear();
         scratch.round.clear();
         let mut max_round = 0;
@@ -193,7 +207,7 @@ impl<A: ClusterAggregate> RcForest<A> {
             } else {
                 scratch
                     .parent
-                    .push(scratch.slot_of[c.parent.as_vertex() as usize]);
+                    .push(scratch.slot_of[c.parent.as_vertex() as usize].load(Relaxed));
             }
         }
         // CSR round buckets.
@@ -258,7 +272,7 @@ impl<'f, A: ClusterAggregate> MarkedSweep<'f, A> {
     /// its cluster is unmarked.
     #[inline]
     pub fn try_slot(&self, v: Vertex) -> Option<u32> {
-        let s = *self.scratch.slot_of.get(v as usize)?;
+        let s = self.scratch.slot_of.get(v as usize)?.load(Relaxed);
         (s != NONE_U32).then_some(s)
     }
 
@@ -268,7 +282,7 @@ impl<'f, A: ClusterAggregate> MarkedSweep<'f, A> {
     /// be.
     #[inline]
     pub fn slot(&self, v: Vertex) -> u32 {
-        let s = self.scratch.slot_of[v as usize];
+        let s = self.scratch.slot_of[v as usize].load(Relaxed);
         assert_ne!(s, NONE_U32, "vertex {v} is not marked");
         s
     }
@@ -397,7 +411,7 @@ impl<A: ClusterAggregate> Drop for MarkedSweep<'_, A> {
         let mut scratch = std::mem::take(&mut self.scratch);
         // Sparse clear: only the marked entries of the slot map.
         for &v in &scratch.nodes {
-            scratch.slot_of[v as usize] = NONE_U32;
+            *scratch.slot_of[v as usize].get_mut() = NONE_U32;
         }
         scratch.nodes.clear();
         self.forest.scratch.put(scratch);
@@ -434,10 +448,30 @@ mod tests {
     use crate::aggregates::SumAgg;
     use crate::forest::{BuildOptions, RcForest};
     use crate::types::NO_VERTEX;
+    use rc_parlay::rng::SplitMix64;
+    use rc_parlay::SEQ_THRESHOLD;
+    use std::sync::{Arc, Barrier};
 
     fn path_forest(n: u32) -> RcForest<SumAgg<i64>> {
         let edges: Vec<(u32, u32, i64)> = (0..n - 1).map(|i| (i, i + 1, 1)).collect();
         RcForest::build_edges(n as usize, &edges, BuildOptions::default()).unwrap()
+    }
+
+    /// Heap-shaped forest (`i`'s parent is `(i - 1) / 2`, so degree ≤ 3)
+    /// without the edges above multiples of 1000: a few components.
+    fn heap_forest(n: u32) -> RcForest<SumAgg<i64>> {
+        let edges: Vec<(u32, u32, i64)> = (1..n)
+            .filter(|i| i % 1000 != 0)
+            .map(|i| ((i - 1) / 2, i, (i % 7) as i64 + 1))
+            .collect();
+        RcForest::build_edges(n as usize, &edges, BuildOptions::default()).unwrap()
+    }
+
+    fn four_thread_pool() -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .expect("4-thread pool")
     }
 
     /// Child lists and root slots rebuilt from `parent()`.
@@ -457,19 +491,35 @@ mod tests {
 
     #[test]
     fn sweep_structure_is_consistent() {
-        let f = path_forest(64);
-        let sweep = f.marked_sweep([0u32, 13, 40, 63]);
-        assert!(!sweep.is_empty());
-        let (children, roots) = children_and_roots(&sweep);
-        for s in 0..sweep.len() as u32 {
-            if let Some(p) = sweep.parent(s) {
-                assert!(sweep.round(p) > sweep.round(s), "parents contract later");
-                assert!(children[p as usize].contains(&s));
-            } else {
-                assert!(roots.contains(&s));
+        fn check(f: &RcForest<SumAgg<i64>>, starts: &[u32]) {
+            let sweep = f.marked_sweep(starts.iter().copied());
+            assert!(!sweep.is_empty());
+            let mut reps = std::collections::HashSet::new();
+            for s in 0..sweep.len() as u32 {
+                let v = sweep.rep(s);
+                assert!(reps.insert(v), "rep {v} appears twice");
+                assert_eq!(sweep.slot(v), s);
+                let up = f.cluster(v).parent;
+                if let Some(p) = sweep.parent(s) {
+                    assert!(sweep.round(p) > sweep.round(s), "parents contract later");
+                    assert_eq!(sweep.rep(p), up.as_vertex());
+                } else {
+                    assert!(up.is_none(), "slot {s} lost its parent");
+                }
             }
-            assert_eq!(sweep.slot(sweep.rep(s)), s);
+            for &v in starts.iter().filter(|&&v| f.in_range(v)) {
+                assert!(sweep.try_slot(v).is_some(), "start {v} unmarked");
+            }
         }
+        check(&path_forest(64), &[0, 13, 40, 63]);
+        // Above `SEQ_THRESHOLD` in-range starts, walks claim in parallel
+        // and slots are numbered after the join.
+        let heap = heap_forest(6000);
+        let mut starts: Vec<u32> = (0..3000).map(|i| i * 7 % 6000).collect();
+        starts.extend(0..3000);
+        starts.extend([6000, 9999, u32::MAX]);
+        assert!(starts.len() > SEQ_THRESHOLD + 3);
+        four_thread_pool().install(|| check(&heap, &starts));
     }
 
     #[test]
@@ -508,58 +558,35 @@ mod tests {
     #[test]
     fn scratch_is_pooled_and_cleared() {
         let f = path_forest(32);
+        // A parallel-branch sweep (duplicate and out-of-range starts past
+        // `SEQ_THRESHOLD`) leaves its pooled scratch to the small ones.
+        let big = (0..3000u32).map(|i| i % 32).chain([32, u32::MAX]);
+        four_thread_pool().install(|| assert_eq!(f.marked_sweep(big).len(), 32));
         for round in 0..10 {
             let sweep = f.marked_sweep([round as u32, 31 - round as u32]);
             // Stale slots from earlier rounds must not leak through.
+            let mut slotted = 0;
             for v in 0..32u32 {
                 if let Some(s) = sweep.try_slot(v) {
                     assert_eq!(sweep.rep(s), v, "round {round}: stale slot for {v}");
+                    slotted += 1;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn index_marked_dedups_double_claimed_paths() {
-        // Simulate the concurrent-sweep race: when two sweeps interleave,
-        // a walk can re-claim vertices another sweep just stamped, leaving
-        // duplicate path fragments in `nodes`. The indexer must drop them.
-        let f = path_forest(16);
-        let mut scratch = super::QueryScratch::default();
-        scratch.starts.extend([0u32, 5, 11]);
-        f.mark_ancestors(&mut scratch);
-        let clean_len = scratch.nodes.len();
-        let dup = scratch.nodes.clone();
-        scratch.nodes.extend(dup);
-        f.index_marked(&mut scratch);
-        let sweep = super::MarkedSweep {
-            forest: &f,
-            scratch,
-        };
-        assert_eq!(sweep.len(), clean_len, "duplicates dropped");
-        let (children, _) = children_and_roots(&sweep);
-        let mut seen = std::collections::HashSet::new();
-        for s in 0..sweep.len() as u32 {
-            assert!(seen.insert(sweep.rep(s)), "rep {} duplicated", sweep.rep(s));
-            assert_eq!(sweep.slot(sweep.rep(s)), s);
-            if let Some(p) = sweep.parent(s) {
-                assert_eq!(
-                    children[p as usize].iter().filter(|&&c| c == s).count(),
-                    1,
-                    "child listed once"
-                );
-            }
+            assert_eq!(slotted, sweep.len(), "round {round}: stale slots");
         }
     }
 
     #[test]
     fn concurrent_sweeps_stay_consistent() {
-        // Probabilistic exercise of the double-claim race: many threads run
-        // overlapping multi-start batch queries against one forest.
-        let f = std::sync::Arc::new(path_forest(128));
-        let handles: Vec<_> = (0..8u32)
+        // Many threads run overlapping batch queries against one forest;
+        // each sweep claims in its own pooled scratch, so no sweep may see
+        // another's claims. The path cases stay at or below
+        // `SEQ_THRESHOLD` starts (sequential claims), the heap cases go
+        // above it (CAS claims, racing when the pool has several threads).
+        let f = Arc::new(path_forest(128));
+        let mut handles: Vec<_> = (0..8u32)
             .map(|t| {
-                let f = std::sync::Arc::clone(&f);
+                let f = Arc::clone(&f);
                 std::thread::spawn(move || {
                     for i in 0..300u32 {
                         let a = (t * 17 + i) % 128;
@@ -571,6 +598,28 @@ mod tests {
                 })
             })
             .collect();
+        let heap = Arc::new(heap_forest(6000));
+        let barrier = Arc::new(Barrier::new(4));
+        handles.extend((0..4u64).map(|t| {
+            let (f, barrier) = (Arc::clone(&heap), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let mut rng = SplitMix64::new(t);
+                // Start together; equal rounds keep the sweeps overlapping.
+                barrier.wait();
+                for round in 0..6 {
+                    let pairs: Vec<(u32, u32)> = (0..2500)
+                        .map(|_| (rng.next_below(6000) as u32, rng.next_below(6000) as u32))
+                        .collect();
+                    let sums = f.batch_path_aggregate(&pairs);
+                    let conn = f.batch_connected(&pairs);
+                    for (i, &(u, v)) in pairs.iter().enumerate() {
+                        let at = format!("thread {t} round {round} ({u},{v})");
+                        assert_eq!(sums[i], f.path_aggregate(u, v), "{at}");
+                        assert_eq!(conn[i], f.connected(u, v), "{at}");
+                    }
+                }
+            })
+        }));
         for h in handles {
             h.join().unwrap();
         }

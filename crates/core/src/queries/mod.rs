@@ -5,7 +5,7 @@
 //! Every *batch* query family routes through one shared engine
 //! ([`engine::MarkedSweep`], obtained from
 //! [`RcForest::marked_sweep`](crate::RcForest::marked_sweep)): collect and
-//! validate the batch's start vertices, atomically mark their RC-tree
+//! validate the batch's start vertices, mark their RC-tree
 //! ancestors (`O(k log(1 + n/k))` marked clusters, Theorem A.2), then run
 //! top-down / bottom-up visitor passes over the marked subtree. Each batch
 //! call makes exactly one sweep; a query family contributes its visitors,
@@ -37,8 +37,8 @@
 //!   identity (empty path), `batch_lca (u, u, r)` answers `u` when
 //!   connected to `r`, a subtree query `(u, u)` answers `None` (`u` is
 //!   not its own neighbor);
-//! * **duplicate entries** are answered independently (marking dedups
-//!   internally; results are per-entry);
+//! * **duplicate entries** are answered independently (a repeated start
+//!   stops at its own claim; results are per-entry);
 //! * **disconnected pairs** answer `None`.
 //!
 //! `compressed_path_tree` is a set construction: out-of-range terminals

@@ -9,10 +9,10 @@
 //! - [`MetricsRegistry`] — named counters/gauges/histograms with
 //!   lock-free recording, point-in-time [`MetricsSnapshot`]s, and
 //!   Prometheus-text / JSON exports.
-//! - [`FlightRecorder`] — a fixed-capacity lock-free ring of
-//!   [`EpochTrace`] records attributing each epoch's wall time to its
-//!   phases (drain, admission, commit, WAL, query fan-out per family,
-//!   respond), dumpable on demand and on worker failure.
+//! - [`FlightRecorder`] — a bounded ring of [`EpochTrace`] records
+//!   attributing each epoch's wall time to its phases (drain, admission,
+//!   commit, WAL, query fan-out per family, respond), dumpable on demand
+//!   and on worker failure.
 //! - [`RequestTrace`] / [`TraceSink`] — per-request causal span traces
 //!   with deterministic 1-in-N sampling ([`trace_sampled`]), an
 //!   always-capture slow-request ring, and latency [`Exemplars`]

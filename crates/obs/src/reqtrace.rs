@@ -14,9 +14,8 @@
 //! Everything is `std`-only; a capture is one short `Mutex` push of a
 //! `Copy` record, and the sampling decision is a single 64-bit mix.
 
-use std::collections::VecDeque;
+use crate::trace::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Maximum spans one [`RequestTrace`] can carry (the deepest request
 /// path — queue, drain, admit, commit, wal, query, respond — uses 7).
@@ -214,8 +213,8 @@ impl Exemplars {
 }
 
 /// Point-in-time dump of a [`TraceSink`]: the sampled ring, the slow
-/// ring, exemplars, and capture totals. Serialized by the `/traces`
-/// route of [`crate::ObsServer`].
+/// ring, exemplars, and the capture totals its owner counts. Serialized
+/// by the `/traces` route of [`crate::ObsServer`].
 #[derive(Clone, Debug, Default)]
 pub struct TraceDump {
     /// Recently captured sampled traces, oldest first.
@@ -267,15 +266,13 @@ impl TraceDump {
 
 /// Bounded rings of captured request traces: one for the deterministic
 /// sample, one for slow requests (always captured, independent of
-/// sampling), plus the latency exemplars every capture feeds.
+/// sampling), plus the latency exemplars every capture feeds. The sink
+/// keeps no capture totals; its owner counts those in its metrics
+/// registry.
 #[derive(Debug)]
 pub struct TraceSink {
-    cap: usize,
-    slow_cap: usize,
-    recent: Mutex<VecDeque<RequestTrace>>,
-    slow: Mutex<VecDeque<RequestTrace>>,
-    sampled_total: AtomicU64,
-    slow_total: AtomicU64,
+    recent: Ring<RequestTrace>,
+    slow: Ring<RequestTrace>,
     /// Exemplars fed by every capture (sampled or slow).
     pub exemplars: Exemplars,
 }
@@ -285,12 +282,8 @@ impl TraceSink {
     /// each).
     pub fn new(cap: usize, slow_cap: usize) -> Self {
         TraceSink {
-            cap: cap.max(1),
-            slow_cap: slow_cap.max(1),
-            recent: Mutex::new(VecDeque::new()),
-            slow: Mutex::new(VecDeque::new()),
-            sampled_total: AtomicU64::new(0),
-            slow_total: AtomicU64::new(0),
+            recent: Ring::new(cap),
+            slow: Ring::new(slow_cap),
             exemplars: Exemplars::default(),
         }
     }
@@ -301,54 +294,23 @@ impl TraceSink {
     pub fn push(&self, t: RequestTrace) {
         self.exemplars.observe(t.e2e_ns, t.trace_id);
         if t.sampled {
-            self.sampled_total.fetch_add(1, Ordering::Relaxed);
-            let mut r = self.recent.lock().unwrap_or_else(|e| e.into_inner());
-            if r.len() >= self.cap {
-                r.pop_front();
-            }
-            r.push_back(t);
+            self.recent.push(t);
         }
         if t.slow {
-            self.slow_total.fetch_add(1, Ordering::Relaxed);
-            let mut r = self.slow.lock().unwrap_or_else(|e| e.into_inner());
-            if r.len() >= self.slow_cap {
-                r.pop_front();
-            }
-            r.push_back(t);
+            self.slow.push(t);
         }
-    }
-
-    /// Sampled traces captured since startup.
-    pub fn sampled_total(&self) -> u64 {
-        self.sampled_total.load(Ordering::Relaxed)
-    }
-
-    /// Slow traces captured since startup.
-    pub fn slow_total(&self) -> u64 {
-        self.slow_total.load(Ordering::Relaxed)
     }
 
     /// Copy out both rings + the exemplars (labelled
     /// `"serve_request_latency_ns"` — the metric every capture feeds).
+    /// The capture totals read zero: the owner fills them from its
+    /// registry.
     pub fn dump(&self) -> TraceDump {
         TraceDump {
-            recent: self
-                .recent
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .copied()
-                .collect(),
-            slow: self
-                .slow
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .copied()
-                .collect(),
+            recent: self.recent.to_vec(),
+            slow: self.slow.to_vec(),
             exemplars: self.exemplars.dump("serve_request_latency_ns"),
-            sampled_total: self.sampled_total(),
-            slow_total: self.slow_total(),
+            ..TraceDump::default()
         }
     }
 }
@@ -438,11 +400,8 @@ mod tests {
         assert_eq!(d.recent.len(), 4, "sampled ring keeps the newest 4");
         assert_eq!(d.recent.last().unwrap().trace_id, 10);
         assert_eq!(d.slow.len(), 2);
-        assert_eq!(d.sampled_total, 10);
-        assert_eq!(d.slow_total, 5);
         assert!(!d.exemplars.is_empty());
         let json = d.to_json();
-        assert!(json.contains("\"sampled_total\":10"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

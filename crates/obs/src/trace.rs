@@ -1,16 +1,13 @@
-//! Epoch flight recorder: a fixed-capacity lock-free ring of
-//! [`EpochTrace`] records.
+//! Epoch flight recorder: a bounded ring of [`EpochTrace`] records.
 //!
 //! The serve worker records one trace per epoch, once the epoch's last
-//! response has filled. Recording never blocks and never allocates — each slot is a seqlock
-//! (sequence word + plain cell), writers claim a slot with a single CAS
-//! and readers retry a copy if a writer raced them. A dump returns the
-//! newest `capacity` traces in epoch order, safe to call from any
-//! thread at any time, including from failure paths while the worker
-//! is mid-record.
+//! response has filled. Recording and dumping hold the ring's lock only
+//! to copy `Copy` records in or out, so a dump is safe from any thread at
+//! any time, including from failure paths, and never sees a torn record.
+//! A dump returns the newest `capacity` traces, oldest first.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// Query families timed individually during the fan-out phase. Indexes
 /// [`EpochTrace::family_ns`] / [`EpochTrace::family_counts`].
@@ -47,8 +44,8 @@ impl Engine {
     }
 }
 
-/// Per-epoch phase timings and sizes. `Copy` with no heap so the
-/// flight-recorder ring can publish it through a seqlock.
+/// Per-epoch phase timings and sizes. `Copy` with no heap, so the flight
+/// recorder stores it by value.
 ///
 /// The phases partition an epoch's wall time in the order the worker
 /// runs them: drain → admission → commit propagation (flushes) → WAL
@@ -67,7 +64,7 @@ pub struct EpochTrace {
     pub flushes: u32,
     /// Queue length observed at drain time.
     pub queue_depth: u32,
-    /// Time draining the shard queues.
+    /// Time draining the submission queue and splitting the batch.
     pub drain_ns: u64,
     /// Admission/cancellation overlay time (excluding flushes).
     pub admit_ns: u64,
@@ -105,118 +102,72 @@ impl EpochTrace {
     }
 }
 
-const SEQ_EMPTY: u64 = 0;
-
-struct Slot {
-    /// Seqlock word: 0 = never written, odd = writer inside, even > 0 =
-    /// published. Bumped by 2 per publish so readers detect overwrites.
-    seq: AtomicU64,
-    trace: UnsafeCell<EpochTrace>,
+/// A bounded FIFO of `Copy` records behind one lock, allocated up front:
+/// once it holds `capacity` records, each push drops the oldest. The
+/// flight recorder and both request-trace rings are one of these.
+#[derive(Debug)]
+pub(crate) struct Ring<T> {
+    capacity: usize,
+    items: Mutex<VecDeque<T>>,
 }
 
-// The UnsafeCell is only read under the seqlock protocol below.
-unsafe impl Sync for Slot {}
+impl<T: Copy> Ring<T> {
+    /// Ring with room for `capacity` records (min 1).
+    pub(crate) fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        Ring {
+            capacity,
+            items: Mutex::new(VecDeque::with_capacity(capacity)),
+        }
+    }
 
-/// Fixed-capacity lock-free ring of [`EpochTrace`] records.
-///
-/// Writers call [`record`](Self::record) with a finished trace; the
-/// ring keeps the newest `capacity` records, overwriting the oldest.
-/// [`dump`](Self::dump) copies out every valid record sorted by epoch.
-/// If two writers ever contend for the same slot (requires a full ring
-/// wrap during one write), the loser drops its record and
-/// [`dropped`](Self::dropped) counts it — recording never blocks.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    pub(crate) fn push(&self, item: T) {
+        let mut items = self.items.lock().unwrap_or_else(|e| e.into_inner());
+        if items.len() == self.capacity {
+            items.pop_front();
+        }
+        items.push_back(item);
+    }
+
+    /// Every retained record, oldest first.
+    pub(crate) fn to_vec(&self) -> Vec<T> {
+        let items = self.items.lock().unwrap_or_else(|e| e.into_inner());
+        items.iter().copied().collect()
+    }
+}
+
+/// Bounded ring of [`EpochTrace`] records: keeps the newest `capacity`
+/// traces, dropping the oldest once full.
+#[derive(Debug)]
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    head: AtomicU64,
-    dropped: AtomicU64,
+    ring: Ring<EpochTrace>,
 }
 
 impl FlightRecorder {
     /// Ring with room for `capacity` traces (min 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         FlightRecorder {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(SEQ_EMPTY),
-                    trace: UnsafeCell::new(EpochTrace::default()),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Ring::new(capacity),
         }
     }
 
-    /// Number of slots in the ring.
+    /// Number of traces the ring retains.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
-    /// Records dropped because a writer lost a slot race (only possible
-    /// if another writer lapped the entire ring mid-write).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Publish one trace into the ring. Lock-free: one CAS to claim the
-    /// slot, a plain copy, one release store to publish.
+    /// Record one finished trace, dropping the oldest if the ring is full.
     pub fn record(&self, trace: EpochTrace) {
-        let idx = (self.head.fetch_add(1, Ordering::Relaxed) as usize) % self.slots.len();
-        let slot = &self.slots[idx];
-        let seq = slot.seq.load(Ordering::Relaxed);
-        if seq & 1 == 1 {
-            // Another writer is mid-publish in our slot: it was lapped
-            // while writing. Drop rather than block or tear.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if slot
-            .seq
-            .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // Seq is now odd: readers will retry, writers will drop.
-        unsafe { *slot.trace.get() = trace };
-        slot.seq.store(seq + 2, Ordering::Release);
+        self.ring.push(trace);
     }
 
-    /// Copy out every published trace, oldest epoch first. Readers never
-    /// block writers; a record overwritten mid-copy is retried a few
-    /// times, then skipped.
+    /// Copy out every retained trace, oldest first.
     pub fn dump(&self) -> Vec<EpochTrace> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            for _ in 0..4 {
-                let before = slot.seq.load(Ordering::Acquire);
-                if before == SEQ_EMPTY {
-                    break;
-                }
-                if before & 1 == 1 {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                let copy = unsafe { *slot.trace.get() };
-                if slot.seq.load(Ordering::Acquire) == before {
-                    out.push(copy);
-                    break;
-                }
-            }
-        }
-        out.sort_by_key(|t| t.epoch);
-        out
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &self.capacity())
-            .field("recorded", &self.head.load(Ordering::Relaxed))
-            .field("dropped", &self.dropped())
-            .finish()
+        self.ring.to_vec()
     }
 }
 
@@ -336,7 +287,6 @@ mod tests {
         for t in &dump {
             assert_untorn(t);
         }
-        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]

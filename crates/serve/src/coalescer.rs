@@ -3,12 +3,13 @@
 //! # Epoch lifecycle
 //!
 //! 1. **Accumulate** — client threads stamp each request with a global
-//!    submission sequence number and push it into a sharded queue. The
-//!    worker sleeps until the queue is non-empty, then *lingers* up to
+//!    submission sequence number and append it to one locked queue, so
+//!    the queue is in submission order. The worker sleeps until the
+//!    queue is non-empty, then *lingers* up to
 //!    [`ServeConfig::max_linger`] or until [`ServeConfig::drain_threshold`]
 //!    requests are waiting, whichever comes first.
 //! 2. **Drain** — up to [`ServeConfig::max_epoch_ops`] requests leave the
-//!    queue, ordered by submission sequence. This ordered batch *is* the
+//!    front of the queue. This prefix of submission order *is* the
 //!    epoch's serialization: the commit order equals (all updates in
 //!    submission order, then all queries).
 //! 3. **Update phase** — updates are admitted one by one against an
@@ -51,15 +52,12 @@ use rc_obs::{
 };
 use rc_parlay::edge_key;
 use rc_store::{EpochRecord, FlushRecord, RecoveryReport, Store, StoreConfig, StoreError};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Submission-queue shards (reduce producer contention).
-const SHARDS: usize = 8;
 
 /// Batching policy and instrumentation knobs.
 ///
@@ -188,17 +186,22 @@ struct Pending {
     sampled: bool,
 }
 
+/// The submission queue. One lock guards the queue, the seq counter and
+/// the accepting flag, so a submit either enqueues before the worker's
+/// final look at an empty, closed queue or is rejected.
+struct Intake {
+    /// Queued requests, in seq order by construction.
+    pending: VecDeque<Pending>,
+    next_seq: u64,
+    accepting: bool,
+}
+
 struct Shared {
     cfg: ServeConfig,
-    shards: Vec<Mutex<Vec<Pending>>>,
-    qlen: AtomicUsize,
-    seq: AtomicU64,
-    /// Round-robin shard cursor for submissions.
-    rr: AtomicUsize,
-    accepting: AtomicBool,
-    /// Wake mutex holds the shutdown flag; producers notify under it.
-    wake: Mutex<bool>,
-    wake_cv: Condvar,
+    intake: Mutex<Intake>,
+    /// Wakes the worker: on the queue's empty→non-empty edge, when it
+    /// reaches the drain threshold, and at shutdown.
+    wake: Condvar,
     log: Mutex<Vec<LogEntry>>,
     /// Metrics registry + flight recorder (see [`crate::telemetry`]).
     tel: ServeTelemetry,
@@ -208,6 +211,12 @@ struct Shared {
     /// Fast path: set once the first tap subscribes, read per epoch
     /// without taking the `taps` lock.
     tapped: AtomicBool,
+}
+
+impl Shared {
+    fn intake(&self) -> MutexGuard<'_, Intake> {
+        self.intake.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// A running coalescer: owns the forest on a dedicated worker thread.
@@ -283,13 +292,12 @@ impl RcServe {
             tel.set_store_metrics(store.metrics().clone());
         }
         let shared = Arc::new(Shared {
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            qlen: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-            rr: AtomicUsize::new(0),
-            accepting: AtomicBool::new(true),
-            wake: Mutex::new(false),
-            wake_cv: Condvar::new(),
+            intake: Mutex::new(Intake {
+                pending: VecDeque::new(),
+                next_seq: 0,
+                accepting: true,
+            }),
+            wake: Condvar::new(),
             log: Mutex::new(Vec::new()),
             tel,
             taps: Mutex::new(Vec::new()),
@@ -314,12 +322,14 @@ impl RcServe {
             Watchdog::spawn(
                 WatchdogConfig::new(deadline),
                 Arc::clone(&shared.tel.health),
-                move || Probe {
-                    progress: probe_shared.tel.progress(),
-                    busy: probe_shared.qlen.load(Ordering::SeqCst) > 0
-                        || probe_shared.tel.phase_active(),
-                    phase: probe_shared.tel.current_phase(),
-                    queued: probe_shared.qlen.load(Ordering::SeqCst) as u64,
+                move || {
+                    let queued = probe_shared.intake().pending.len();
+                    Probe {
+                        progress: probe_shared.tel.progress(),
+                        busy: queued > 0 || probe_shared.tel.phase_active(),
+                        phase: probe_shared.tel.current_phase(),
+                        queued: queued as u64,
+                    }
                 },
                 move |info| stall_shared.tel.note_stall(info),
             )
@@ -393,10 +403,8 @@ impl RcServe {
     }
 
     fn signal_shutdown(&self) {
-        self.shared.accepting.store(false, Ordering::SeqCst);
-        let mut g = self.shared.wake.lock().unwrap_or_else(|e| e.into_inner());
-        *g = true;
-        self.shared.wake_cv.notify_all();
+        self.shared.intake().accepting = false;
+        self.shared.wake.notify_one();
     }
 }
 
@@ -452,29 +460,19 @@ impl ServeClient {
             slot: Arc::clone(&slot),
             deadline: self.deadline,
         };
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            slot.fill(Response::Rejected);
-            return handle;
-        }
-        // Round-robin shard choice; the seq stamp is taken *under* the
-        // shard lock so every shard's vector stays sorted by seq — the
-        // invariant the worker's k-way merge drain relies on. The qlen
-        // increment happens under the same lock, *before* the push: the
-        // worker's drain subtracts however many requests it merged, and
-        // any request visible in a shard must already be counted or that
-        // subtraction could transiently drive qlen below zero.
-        let shard = self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.shards.len();
-        let seq;
-        let len;
-        {
-            let mut q = self.shared.shards[shard]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-            len = self.shared.qlen.fetch_add(1, Ordering::SeqCst) + 1;
-            q.push(Pending {
+        let submitted = Instant::now();
+        let len = {
+            let mut q = self.shared.intake();
+            if !q.accepting {
+                drop(q);
+                handle.slot.fill(Response::Rejected);
+                return handle;
+            }
+            let seq = q.next_seq;
+            q.next_seq += 1;
+            q.pending.push_back(Pending {
                 seq,
-                submitted: Instant::now(),
+                submitted,
                 request,
                 slot,
                 // Trace id = seq + 1 (0 means "no trace context"): the
@@ -486,31 +484,14 @@ impl ServeClient {
                     self.shared.cfg.trace_sample,
                 ),
             });
-        }
+            q.pending.len()
+        };
         // Wake the worker on the empty→non-empty edge and once the drain
-        // threshold is reached; notifying under the lock pairs with the
-        // worker's check-then-wait.
+        // threshold is reached. The push happened under the lock the
+        // worker checks the queue under before it waits, so notifying
+        // after unlocking loses no wakeup.
         if len == 1 || len == self.shared.cfg.drain_threshold {
-            let _g = self.shared.wake.lock().unwrap_or_else(|e| e.into_inner());
-            self.shared.wake_cv.notify_all();
-        }
-        // Close the shutdown race: if `accepting` flipped while we were
-        // enqueuing, the worker may already have taken its final look at
-        // the queue and exited. Our `qlen` increment is SeqCst-ordered
-        // after the worker's last zero read in that case, so this load is
-        // guaranteed to observe `false` — reclaim the request if it is
-        // still queued (if it is gone, the worker owns it and will answer).
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            let reclaimed = {
-                let mut q = self.shared.shards[shard]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                q.iter().position(|p| p.seq == seq).map(|at| q.remove(at))
-            };
-            if let Some(p) = reclaimed {
-                self.shared.qlen.fetch_sub(1, Ordering::SeqCst);
-                p.slot.fill(Response::Rejected);
-            }
+            self.shared.wake.notify_one();
         }
         handle
     }
@@ -564,9 +545,8 @@ impl ServeClient {
     /// Liveness as `/health` reports it: healthy/ready flags, stall
     /// count, and a human-readable detail line.
     pub fn health_view(&self) -> HealthView {
-        self.shared
-            .tel
-            .health_view(self.shared.accepting.load(Ordering::SeqCst))
+        let accepting = self.shared.intake().accepting;
+        self.shared.tel.health_view(accepting)
     }
 
     /// Drain the commit log recorded so far (`record_commit_log` only),
@@ -594,7 +574,7 @@ impl Worker {
     fn run(mut self, mut forest: ServeForest) -> ServeForest {
         loop {
             self.shared.tel.set_worker_phase(PHASE_IDLE);
-            if self.shared.qlen.load(Ordering::SeqCst) == 0 {
+            if self.shared.intake().pending.is_empty() {
                 // About to sleep: under interval sync, fsync the dirty
                 // tail now — otherwise an idle lull after a burst would
                 // leave it volatile far past the configured interval.
@@ -602,16 +582,12 @@ impl Worker {
                     let _ = store.idle_sync();
                 }
             }
-            if !self.wait_for_epoch() && self.shared.qlen.load(Ordering::SeqCst) == 0 {
+            if !self.wait_for_epoch() {
                 break; // shutdown with an empty queue
             }
-            let queue_depth = self.shared.qlen.load(Ordering::SeqCst);
             self.shared.tel.set_worker_phase(PHASE_DRAIN);
             let epoch_start = Instant::now();
-            let batch = self.drain();
-            if batch.is_empty() {
-                continue;
-            }
+            let (batch, queue_depth) = self.drain();
             self.shared.tel.observe_queue_depth(queue_depth);
             let ok = self.process_epoch(&mut forest, batch, queue_depth, epoch_start);
             // Heartbeat: the watchdog's progress counter. Failed epochs
@@ -636,94 +612,55 @@ impl Worker {
 
     /// After a durability failure: stop accepting and resolve every
     /// queued request as `Rejected`, so no client blocks forever on a
-    /// slot the dead worker would never fill. (Requests that race the
-    /// `accepting` flip are reclaimed and rejected by their submitter —
-    /// the same closing argument as `RcServe::shutdown`.)
+    /// slot the dead worker would never fill. The flag flips under the
+    /// queue lock, so every later submit is rejected at submit.
     fn reject_drain(&self) {
-        self.shared.accepting.store(false, Ordering::SeqCst);
-        while self.shared.qlen.load(Ordering::SeqCst) > 0 {
-            for p in self.drain() {
-                p.slot.fill(Response::Rejected);
-            }
+        let rejected = {
+            let mut q = self.shared.intake();
+            q.accepting = false;
+            std::mem::take(&mut q.pending)
+        };
+        for p in rejected {
+            p.slot.fill(Response::Rejected);
         }
     }
 
     /// Sleep until there is work, then linger per policy. Returns `false`
-    /// once shutdown is signalled.
+    /// once shutdown is signalled and the queue is empty.
     fn wait_for_epoch(&self) -> bool {
         let cfg = &self.shared.cfg;
-        let mut g = self.shared.wake.lock().unwrap_or_else(|e| e.into_inner());
+        let mut q = self.shared.intake();
         // Phase 1: wait for any work.
-        loop {
-            if *g {
+        while q.pending.is_empty() {
+            if !q.accepting {
                 return false;
             }
-            if self.shared.qlen.load(Ordering::SeqCst) > 0 {
-                break;
-            }
-            g = self
-                .shared
-                .wake_cv
-                .wait(g)
-                .unwrap_or_else(|e| e.into_inner());
+            q = self.shared.wake.wait(q).unwrap_or_else(|e| e.into_inner());
         }
-        // Phase 2: linger for coalescing.
+        // Phase 2: linger for coalescing; shutdown drains without it.
         let t0 = Instant::now();
-        loop {
-            if *g {
-                return false;
-            }
-            if self.shared.qlen.load(Ordering::SeqCst) >= cfg.drain_threshold {
-                return true;
-            }
+        while q.accepting && q.pending.len() < cfg.drain_threshold {
             let elapsed = t0.elapsed();
             if elapsed >= cfg.max_linger {
-                return true;
+                break;
             }
-            let (g2, _) = self
+            q = self
                 .shared
-                .wake_cv
-                .wait_timeout(g, cfg.max_linger - elapsed)
-                .unwrap_or_else(|e| e.into_inner());
-            g = g2;
+                .wake
+                .wait_timeout(q, cfg.max_linger - elapsed)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
+        true
     }
 
-    /// Pull up to `max_epoch_ops` requests in global submission order:
-    /// a k-way merge over the (individually seq-sorted) shards, draining
-    /// only each shard's merged prefix. `O(cap · shards)` — leftovers stay
-    /// queued in place, so a deep backlog never gets reshuffled.
-    fn drain(&self) -> Vec<Pending> {
-        let cap = self.shared.cfg.max_epoch_ops.max(1);
-        let mut guards: Vec<_> = self
-            .shared
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        let mut take = vec![0usize; guards.len()];
-        let mut total = 0usize;
-        while total < cap {
-            let mut best: Option<usize> = None;
-            for (s, g) in guards.iter().enumerate() {
-                if take[s] < g.len()
-                    && best.is_none_or(|b: usize| g[take[s]].seq < guards[b][take[b]].seq)
-                {
-                    best = Some(s);
-                }
-            }
-            let Some(s) = best else { break };
-            take[s] += 1;
-            total += 1;
-        }
-        let mut merged: Vec<Pending> = Vec::with_capacity(total);
-        for (s, g) in guards.iter_mut().enumerate() {
-            merged.extend(g.drain(..take[s]));
-        }
-        drop(guards);
-        merged.sort_unstable_by_key(|p| p.seq);
-        self.shared.qlen.fetch_sub(merged.len(), Ordering::SeqCst);
-        merged
+    /// Take up to `max_epoch_ops` requests off the front of the queue —
+    /// a prefix of submission order — with the queue length it saw.
+    fn drain(&self) -> (Vec<Pending>, usize) {
+        let mut q = self.shared.intake();
+        let depth = q.pending.len();
+        let take = depth.min(self.shared.cfg.max_epoch_ops.max(1));
+        (q.pending.drain(..take).collect(), depth)
     }
 
     /// Serve one epoch. Returns `false` when durability failed — the

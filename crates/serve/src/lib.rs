@@ -11,7 +11,7 @@
 //! client threads, and drains them in epochs:
 //!
 //! ```text
-//!  clients ──submit──▶ sharded queue ──drain──▶ ┌───────── epoch ─────────┐
+//!  clients ──submit──▶ locked queue ──drain───▶ ┌───────── epoch ─────────┐
 //!    │                 (seq-stamped)            │ update phase (overlay + │
 //!    │◀─── oneshot ResponseHandle ──────────────│   batch_cut/batch_link) │
 //!                                               │ query phase (batch call │

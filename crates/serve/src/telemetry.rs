@@ -298,9 +298,9 @@ impl ServeTelemetry {
             .epoch_start
             .saturating_duration_since(submitted)
             .as_nanos() as u64;
-        // A request submitted after the drain began (into a shard the
-        // drain had not merged yet) queued for no time and rode only the
-        // rest of the drain.
+        // A request submitted after the drain's clock started, but before
+        // the drain took the queue lock, queued for no time and rode only
+        // the rest of the drain.
         let joined_ns = submitted
             .saturating_duration_since(layout.epoch_start)
             .as_nanos() as u64;
@@ -332,10 +332,13 @@ impl ServeTelemetry {
         self.sink.push(t);
     }
 
-    /// Dump the captured request traces, appending the store's WAL
-    /// append/fsync exemplars when durable.
+    /// Dump the captured request traces with the registry's capture
+    /// totals, appending the store's WAL append/fsync exemplars when
+    /// durable.
     pub(crate) fn traces(&self) -> TraceDump {
         let mut d = self.sink.dump();
+        d.sampled_total = self.traces_sampled_total.get();
+        d.slow_total = self.traces_slow_total.get();
         if let Some(sm) = self.store_metrics.get() {
             d.exemplars
                 .extend(sm.append_exemplars.dump("store_append_ns"));

@@ -8,7 +8,10 @@
 //! **every** response the server produced — update outcomes including
 //! exact `ForestError`s, and all seven query families — matches the
 //! sequential execution. Any lost update, phantom read, torn epoch or
-//! conflict-resolution bug shows up as a response mismatch.
+//! conflict-resolution bug shows up as a response mismatch. The replay
+//! also audits the log's order against the submission sequence numbers
+//! stamped across all producers: each epoch follows every earlier one,
+//! and commits its updates, then its queries, each in submission order.
 //!
 //! The only serve-layer semantics not inherited from the trait verbatim:
 //! `UpdateEdgeWeight` range-checks its endpoints *before* probing edge
@@ -291,12 +294,37 @@ fn run_oracle_mix(
     let mut epoch = 0u64;
     let mut repr_seen: HashMap<u32, u32> = HashMap::new();
     let mut seen_seqs = std::collections::HashSet::new();
+    // Submission-order audit: a drain takes a prefix of submission order
+    // across all producers, so within an epoch the updates ascend by seq
+    // and so do the queries, and every seq of an epoch is above every seq
+    // of the epochs before it.
+    let mut floor: Option<u64> = None; // highest seq of the earlier epochs
+    let mut top: Option<u64> = None; // highest seq so far
+    let mut last: [Option<u64>; 2] = [None; 2]; // last update, last query
     for entry in &log {
         assert!(seen_seqs.insert(entry.seq), "seq {} duplicated", entry.seq);
         if entry.epoch != epoch {
             epoch = entry.epoch;
             repr_seen.clear();
+            floor = top;
+            last = [None; 2];
         }
+        assert!(
+            floor < Some(entry.seq),
+            "epoch {} seq {} was submitted before a request of an earlier epoch",
+            entry.epoch,
+            entry.seq
+        );
+        let phase = usize::from(!entry.request.is_update());
+        assert!(
+            last[phase] < Some(entry.seq),
+            "epoch {} seq {} {:?} committed out of submission order",
+            entry.epoch,
+            entry.seq,
+            entry.request
+        );
+        last[phase] = Some(entry.seq);
+        top = top.max(Some(entry.seq));
         // Version-stamp audit: every response, update or query, observed
         // exactly its own epoch's committed state — the replay state at
         // this point of the log.

@@ -12,11 +12,9 @@ fn run(name: &str) {
 fn main() {
     for fig in [
         "fig6_build",
-        "fig7_updates",
-        "fig8_queries",
-        "fig9_speedup",
+        "fig9b_speedup",
         "fig10_msf",
-        "fig11_crossover",
+        "fig11b_backends",
         "fig12_ternary",
     ] {
         run(fig);

@@ -1,23 +1,20 @@
 //! Figure 6: static RC-tree construction.
 //!
 //! Series: build time vs n for the four forest configurations; randomized
-//! IS vs deterministic chain-coloring MIS; thread-count speedup; and the
-//! depth-insensitivity observation ("the depth of the tree does not
-//! affect the generation time").
+//! IS vs deterministic chain-coloring MIS; and the depth-insensitivity
+//! observation ("the depth of the tree does not affect the generation
+//! time"). `fig9b_speedup` sweeps build time across thread counts.
 
 use rc_bench::*;
 use rc_core::{BuildOptions, ContractionMode, RcForest, SumAgg};
 use rc_gen::{paper_configs, GeneratedForest};
 use rc_ternary::TernaryForest;
 
-fn build_once(n: usize, edges: &[(u32, u32, u64)], mode: ContractionMode) -> std::time::Duration {
+/// Time a ternarized build of `edges`.
+fn build_once(n: usize, edges: &[(u32, u32, u64)]) -> std::time::Duration {
     let e64: Vec<(u32, u32, i64)> = edges.iter().map(|&(u, v, w)| (u, v, w as i64)).collect();
     let (_f, d) = time_once(|| {
         let mut t = TernaryForest::<SumAgg<i64>>::new(n, 0);
-        // Deterministic mode applies to the static core build; exercise it
-        // by building the inner forest directly when no ternarization is
-        // needed. For the general pipeline we time ternary construction.
-        let _ = mode;
         t.batch_link(&e64).unwrap();
         t
     });
@@ -34,7 +31,7 @@ fn main() {
         for (name, cfg) in paper_configs(n, 1) {
             let g = GeneratedForest::generate(cfg);
             let edges = g.edges();
-            let d = build_once(n, &edges, ContractionMode::Randomized);
+            let d = build_once(n, &edges);
             t.row(&[
                 name.into(),
                 n.to_string(),
@@ -76,25 +73,6 @@ fn main() {
     }
 
     let t3 = Table::new(
-        "Thread-count speedup (config C1)",
-        &["threads", "build ms", "speedup"],
-    );
-    let cfg = paper_configs(n, 2).remove(0).1;
-    let edges = GeneratedForest::generate(cfg).edges();
-    let mut base = None;
-    for threads in thread_counts() {
-        let d = with_threads(threads, || {
-            build_once(n, &edges, ContractionMode::Randomized)
-        });
-        let b = *base.get_or_insert(d.as_secs_f64());
-        t3.row(&[
-            threads.to_string(),
-            ms(d),
-            format!("{:.2}x", b / d.as_secs_f64()),
-        ]);
-    }
-
-    let t4 = Table::new(
         "Depth insensitivity (ln sweep, n fixed)",
         &["ln", "build ms"],
     );
@@ -106,7 +84,7 @@ fn main() {
             ..Default::default()
         };
         let edges = GeneratedForest::generate(cfg).edges();
-        let d = build_once(n, &edges, ContractionMode::Randomized);
-        t4.row(&[format!("{lnp}"), ms(d)]);
+        let d = build_once(n, &edges);
+        t3.row(&[format!("{lnp}"), ms(d)]);
     }
 }

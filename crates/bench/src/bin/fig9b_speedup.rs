@@ -1,32 +1,32 @@
-//! Figure 9b — end-to-end speedup vs thread count on the persistent pool.
+//! Figure 9b — speedup vs thread count on the persistent pool (the
+//! paper's fig. 9).
 //!
-//! The companion to `fig9_speedup` (which sweeps query batches on the
-//! ternary forest only): this bin sweeps **threads × {build, updates, each
-//! query family}** on both the RC forest and the ternary forest, and
-//! writes the machine-readable `BENCH_speedup.json` so the repo's
-//! multi-thread perf trajectory is tracked from the moment the executor
-//! became a real pool. The paper's Fig. 9 frames the same claim: batched
-//! dynamic-tree operations should scale with threads.
+//! Sweeps **threads × {build, updates, each query family}** on the RC
+//! forest and the ternary forest, over the workload `fig11b_backends`
+//! sweeps k on, plus three `parlay` rows timing the rc-parlay primitives
+//! the forest runs on: pack (the build's live set), counting sort (the
+//! deterministic MIS) and the shuffle (rc-gen's relabelling).
 //!
-//! Per (backend, family, threads) cell the JSON records the median wall
-//! time and the speedup against the 1-thread run of the same cell.
-//! `machine_parallelism` is recorded too: on hosts with fewer cores than
-//! the sweep's thread counts the pool is oversubscribed and speedups
-//! flatten at the hardware limit — the field is what makes those numbers
-//! interpretable.
+//! Per (backend, family, threads) cell the JSON records the median and
+//! quartiles of cache-cold calls and the speedup of the median against
+//! the 1-thread cell. `machine_parallelism` is recorded too: on hosts
+//! with fewer cores than the sweep's thread counts the pool is
+//! oversubscribed and speedups flatten at the hardware limit — the field
+//! is what makes those numbers interpretable.
 //!
 //! Output: `BENCH_speedup.json` (override with `RC_SPEEDUP_OUT`); scale
 //! via `RC_BENCH_SCALE` (`tiny` for the CI smoke).
 
-use rc_bench::{ms, scale, speedup_thread_counts, with_threads, Table};
+use rc_bench::{
+    machine_parallelism, ms, scale, speedup_thread_counts, with_threads, Table, Timer, Timing,
+    Workload,
+};
 use rc_core::{BuildOptions, DynamicForest, RcForest, StdAgg};
-use rc_gen::{ForestGenConfig, RequestStream, RequestStreamConfig};
 use rc_parlay::rng::SplitMix64;
 use rc_ternary::TernaryStdForest;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
-const FAMILIES: [&str; 6] = [
+const FOREST_FAMILIES: [&str; 6] = [
     "build",
     "updates",
     "connected",
@@ -35,211 +35,133 @@ const FAMILIES: [&str; 6] = [
     "subtree_sum",
 ];
 
+const PARLAY_FAMILIES: [&str; 3] = [
+    "pack_index_1M",
+    "counting_sort_200k_64",
+    "random_permutation_1M",
+];
+
 struct Sample {
     backend: &'static str,
     family: &'static str,
     threads: usize,
-    d: Duration,
+    t: Timing,
 }
 
-/// Median of `reps` runs.
-fn measure(reps: usize, mut f: impl FnMut()) -> Duration {
-    let mut times: Vec<Duration> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// Workload shared by both backends.
-struct Workload {
-    n: usize,
-    initial: Vec<(u32, u32, u64)>,
-    pairs: Vec<(u32, u32)>,
-    triples: Vec<(u32, u32, u32)>,
-    subs: Vec<(u32, u32)>,
-    cut_batch: Vec<(u32, u32, u64)>,
-}
-
-impl Workload {
-    fn generate(n: usize, k: usize) -> Workload {
-        let stream = RequestStream::new(RequestStreamConfig {
-            forest: ForestGenConfig {
-                n,
-                seed: 0xF19B,
-                max_weight: 1_000,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let initial = stream.initial_edges();
-        let mut rng = SplitMix64::new(0xF19B_5EED);
-        let rnd = |rng: &mut SplitMix64| rng.next_below(n as u64) as u32;
-        let pairs: Vec<(u32, u32)> = (0..k).map(|_| (rnd(&mut rng), rnd(&mut rng))).collect();
-        let triples: Vec<(u32, u32, u32)> = (0..k)
-            .map(|_| (rnd(&mut rng), rnd(&mut rng), rnd(&mut rng)))
-            .collect();
-        let subs: Vec<(u32, u32)> = (0..k)
-            .map(|_| {
-                let (u, v, _) = initial[rng.next_below(initial.len() as u64) as usize];
-                if rng.next_f64() < 0.5 {
-                    (u, v)
-                } else {
-                    (v, u)
-                }
-            })
-            .collect();
-        // Distinct random edges of the initial forest for the update family.
-        let mut idx: Vec<usize> = (0..initial.len()).collect();
-        let kk = k.min(initial.len());
-        for i in 0..kk {
-            let j = i + rng.next_below((idx.len() - i) as u64) as usize;
-            idx.swap(i, j);
-        }
-        let cut_batch: Vec<(u32, u32, u64)> = idx[..kk].iter().map(|&i| initial[i]).collect();
-        Workload {
-            n,
-            initial,
-            pairs,
-            triples,
-            subs,
-            cut_batch,
-        }
-    }
-}
-
-/// Run every family at `threads` threads on one backend; `build` constructs
-/// a fresh forest from the initial edges (timed as the "build" family).
-fn run_backend<B, F>(w: &Workload, threads: usize, reps: usize, build: F) -> Vec<Duration>
-where
-    B: DynamicForest,
-    F: Fn(&Workload) -> B + Sync + Send,
-{
+/// Time every forest family at `threads` threads on one backend; `build`
+/// constructs a fresh forest from the workload's edges (timed as the
+/// "build" family, each forest dropped outside the timed call).
+fn run_backend<B: DynamicForest>(
+    w: &Workload,
+    timer: &mut Timer,
+    threads: usize,
+    build: impl Fn() -> B + Sync + Send,
+) -> Vec<Timing> {
     with_threads(threads, || {
-        let mut out = Vec::with_capacity(FAMILIES.len());
-        // build — the previous rep's forest is dropped *outside* the timed
-        // region: deallocation is sequential and would otherwise dampen
-        // the build family's speedup at every thread count.
-        let mut forest = None;
-        let mut times: Vec<Duration> = (0..reps.max(1))
-            .map(|_| {
-                forest = None;
-                let t0 = Instant::now();
-                forest = Some(build(w));
-                t0.elapsed()
-            })
-            .collect();
-        times.sort_unstable();
-        out.push(times[times.len() / 2]);
-        let mut f = forest.expect("build ran at least once");
-        // updates: cut a batch of tree edges, then relink them (forest is
-        // restored, so the query families below see the same structure).
-        let cuts: Vec<(u32, u32)> = w.cut_batch.iter().map(|&(u, v, _)| (u, v)).collect();
-        out.push(measure(reps, || {
-            f.batch_cut(&cuts).expect("cut existing edges");
-            f.batch_link(&w.cut_batch).expect("relink the same edges");
-        }));
-        // query families
-        out.push(measure(reps, || {
-            std::hint::black_box(f.batch_connected(&w.pairs));
-        }));
-        out.push(measure(reps, || {
-            std::hint::black_box(f.batch_path_sum(&w.pairs));
-        }));
-        out.push(measure(reps, || {
-            std::hint::black_box(f.batch_lca(&w.triples));
-        }));
-        out.push(measure(reps, || {
-            std::hint::black_box(f.batch_subtree_sum(&w.subs));
-        }));
+        let mut out = vec![timer.time(1, |_| build())[0]];
+        let mut f = build();
+        // Updates: cut a batch of forest edges, then relink them (the
+        // forest is restored, so the query families below see the same
+        // structure).
+        let cuts: Vec<(u32, u32)> = w.updates.iter().map(|&(u, v, _)| (u, v)).collect();
+        out.push(
+            timer.time(1, |_| {
+                f.batch_cut(&cuts).expect("cut forest edges");
+                f.batch_link(&w.updates).expect("relink them");
+            })[0],
+        );
+        out.push(timer.time(1, |_| f.batch_connected(&w.pairs))[0]);
+        out.push(timer.time(1, |_| f.batch_path_sum(&w.pairs))[0]);
+        out.push(timer.time(1, |_| f.batch_lca(&w.triples))[0]);
+        out.push(timer.time(1, |_| f.batch_subtree_sum(&w.subtrees))[0]);
         out
     })
 }
 
+/// Time the rc-parlay primitives at `threads` threads.
+fn run_parlay(keys: &[(u32, u32)], timer: &mut Timer, threads: usize) -> Vec<Timing> {
+    with_threads(threads, || {
+        vec![
+            timer.time(1, |_| {
+                rc_parlay::pack::pack_index(1_000_000, |i| i % 3 == 0)
+            })[0],
+            timer.time(1, |_| {
+                rc_parlay::sort::counting_sort_by(keys, 64, |&(k, _)| k as usize)
+            })[0],
+            timer.time(1, |_| rc_parlay::shuffle::random_permutation(1_000_000, 7))[0],
+        ]
+    })
+}
+
 fn main() {
-    let (n, reps) = match scale() {
-        "large" => (1_000_000, 3),
-        "tiny" => (20_000, 3),
-        _ => (200_000, 3),
-    };
     let k = match scale() {
         "large" => 100_000,
         "tiny" => 1_000,
         _ => 10_000,
     };
     let threads = speedup_thread_counts();
-    let machine = std::thread::available_parallelism().map_or(1, |x| x.get());
+    let machine = machine_parallelism();
+    let w = Workload::generate(k);
+    let n = w.state.n;
     println!(
         "# Figure 9b — speedup vs threads (n = {n}, k = {k}, machine parallelism = {machine})"
     );
+    let mut rng = SplitMix64::new(1);
+    let keys: Vec<(u32, u32)> = (0..200_000u32)
+        .map(|i| (rng.next_below(64) as u32, i))
+        .collect();
+    let build_rc = || {
+        RcForest::<StdAgg>::build_edges(n, &w.state.edges, BuildOptions::default())
+            .expect("valid workload forest")
+    };
+    let build_ternary = || {
+        let mut f = TernaryStdForest::new_std(n);
+        DynamicForest::batch_link(&mut f, &w.state.edges).expect("valid workload forest");
+        f
+    };
+    // Untimed warmup: the first-ever build in the process pays the
+    // allocator's page faults, which would otherwise be billed to the
+    // 1-thread cells and fake a "speedup" at higher thread counts.
+    drop((build_rc(), build_ternary()));
 
-    let w = Workload::generate(n, k);
+    let mut timer = Timer::default();
     let mut samples: Vec<Sample> = Vec::new();
-
-    for backend in ["rc", "ternary"] {
-        let t = Table::new(
-            &format!("{backend} (n = {n}, k = {k})"),
-            &[
-                "threads",
-                "build ms",
-                "updates ms",
-                "connected ms",
-                "path_sum ms",
-                "lca ms",
-                "subtree_sum ms",
-            ],
-        );
-        // Untimed warmup: the first-ever build in the process pays the
-        // allocator's page faults, which would otherwise be billed to the
-        // 1-thread cells and fake a "speedup" at higher thread counts.
-        let _ = match backend {
-            "rc" => run_backend(&w, 1, 1, |w: &Workload| {
-                RcForest::<StdAgg>::build_edges(w.n, &w.initial, BuildOptions::default())
-                    .expect("valid initial forest")
-            }),
-            _ => run_backend(&w, 1, 1, |w: &Workload| {
-                let mut f = TernaryStdForest::new_std(w.n);
-                DynamicForest::batch_link(&mut f, &w.initial).expect("valid initial forest");
-                f
-            }),
+    for backend in ["rc", "ternary", "parlay"] {
+        let (families, title): (&[&'static str], _) = if backend == "parlay" {
+            (&PARLAY_FAMILIES, backend.to_string())
+        } else {
+            (&FOREST_FAMILIES, format!("{backend} (n = {n}, k = {k})"))
         };
+        let mut cols = vec!["threads".to_string()];
+        cols.extend(families.iter().map(|f| format!("{f} ms")));
+        let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+        let t = Table::new(&title, &cols);
         for &threads in &threads {
-            let ds = match backend {
-                "rc" => run_backend(&w, threads, reps, |w: &Workload| {
-                    RcForest::<StdAgg>::build_edges(w.n, &w.initial, BuildOptions::default())
-                        .expect("valid initial forest")
-                }),
-                _ => run_backend(&w, threads, reps, |w: &Workload| {
-                    let mut f = TernaryStdForest::new_std(w.n);
-                    DynamicForest::batch_link(&mut f, &w.initial).expect("valid initial forest");
-                    f
-                }),
+            let ts = match backend {
+                "rc" => run_backend(&w, &mut timer, threads, build_rc),
+                "ternary" => run_backend(&w, &mut timer, threads, build_ternary),
+                _ => run_parlay(&keys, &mut timer, threads),
             };
             let mut row = vec![threads.to_string()];
-            for (family, &d) in FAMILIES.iter().zip(&ds) {
+            for (&family, t) in families.iter().zip(ts) {
+                row.push(ms(t.median));
                 samples.push(Sample {
                     backend,
                     family,
                     threads,
-                    d,
+                    t,
                 });
-                row.push(ms(d));
             }
             t.row(&row);
         }
     }
 
     // ---- BENCH_speedup.json ----
-    let base_ms = |backend: &str, family: &str| {
+    let base = |backend: &str, family: &str| {
         samples
             .iter()
             .find(|s| s.backend == backend && s.family == family && s.threads == 1)
-            .map(|s| s.d.as_secs_f64())
-            .unwrap_or(0.0)
+            .map_or(0.0, |s| s.t.median.as_secs_f64())
     };
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -260,16 +182,15 @@ fn main() {
     let _ = writeln!(json, "  \"series\": [");
     for (i, s) in samples.iter().enumerate() {
         let comma = if i + 1 == samples.len() { "" } else { "," };
-        let secs = s.d.as_secs_f64();
-        let speedup = base_ms(s.backend, s.family) / secs.max(1e-12);
+        let speedup = base(s.backend, s.family) / s.t.median.as_secs_f64().max(1e-12);
         let _ = writeln!(
             json,
-            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"threads\": {}, \"ms\": {:.4}, \
+            "    {{\"backend\": \"{}\", \"family\": \"{}\", \"threads\": {}, {}, \
              \"speedup_vs_1t\": {:.3}}}{comma}",
             s.backend,
             s.family,
             s.threads,
-            secs * 1e3,
+            s.t.json_fields(),
             speedup,
         );
     }

@@ -8,7 +8,7 @@
 //! machine); `RC_SERVE_OUT` overrides the output path.
 
 use rc_bench::serve_driver::{coalescing_policy, default_stream, run_load, LoadResult, LoadSpec};
-use rc_bench::{scale, Table};
+use rc_bench::{machine_parallelism, quartiles, scale, Table};
 use rc_gen::Arrival;
 use rc_serve::{ServeConfig, SyncPolicy};
 use std::fmt::Write as _;
@@ -39,9 +39,7 @@ fn main() {
         _ => (20_000, 6_000, 1_024),
     };
     let threads_sweep: Vec<usize> = [1usize, 2, 4, 8].into_iter().filter(|&t| t <= 8).collect();
-    let machine_parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let machine_parallelism = machine_parallelism();
     println!(
         "# serve_load — n={n}, {ops_per_thread} ops/thread, window {window}, \
          machine parallelism {machine_parallelism}"
@@ -179,7 +177,12 @@ fn main() {
             window,
             open_loop: true,
             stream: open_stream,
-            server: coalescing_policy(top, window),
+            // A short linger: these rows measure latency against load,
+            // and a request arriving alone waits out the whole linger.
+            server: ServeConfig {
+                max_linger: Duration::from_micros(50),
+                ..coalescing_policy(top, window)
+            },
             durability: None,
             obs_scrape: false,
         });
@@ -451,16 +454,4 @@ fn main() {
     let out = std::env::var("RC_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
     std::fs::write(&out, json).expect("write BENCH_serve.json");
     println!("wrote {out}");
-}
-
-/// `(q1, median, q3)` of `xs`, interpolating between order statistics.
-fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let at = |p: f64| {
-        let i = p * (v.len() - 1) as f64;
-        let (lo, hi) = (i.floor() as usize, i.ceil() as usize);
-        v[lo] + (v[hi] - v[lo]) * (i - lo as f64)
-    };
-    (at(0.25), at(0.5), at(0.75))
 }

@@ -1,7 +1,6 @@
 //! Shared load-driving machinery for the `rc-serve` benchmarks: the
-//! `serve_load` binary (BENCH_serve.json trajectory) and the
-//! `serve_throughput` criterion smoke both drive the coalescer through
-//! this module.
+//! `serve_load` binary (BENCH_serve.json trajectory) and `fig_persist`'s
+//! WAL table drive the coalescer through this module.
 
 use rc_gen::{Arrival, OpMix, RequestStream, RequestStreamConfig};
 use rc_serve::{
@@ -82,13 +81,17 @@ pub fn default_stream(n: usize, seed: u64) -> RequestStreamConfig {
 }
 
 /// A coalescing policy tuned for windowed closed-loop load: drain the
-/// moment the whole aggregate window is queued (every client blocked),
-/// with a short linger bounding the wait when clients straggle.
+/// moment the whole aggregate window is queued (every client blocked).
+/// The linger allows 2 µs per request of that window, so one round of
+/// window submissions fits inside it and every epoch holds whole
+/// windows; a closed-loop run waits it out only once, on its final
+/// partial window.
 pub fn coalescing_policy(threads: usize, window: usize) -> ServeConfig {
+    let aggregate = (threads * window).max(1);
     ServeConfig {
-        max_epoch_ops: (threads * window).max(1024),
-        drain_threshold: (threads * window).max(1),
-        max_linger: Duration::from_micros(50),
+        max_epoch_ops: aggregate.max(1024),
+        drain_threshold: aggregate,
+        max_linger: Duration::from_micros(2 * aggregate as u64),
         ..ServeConfig::default()
     }
 }
@@ -252,20 +255,6 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
     let flight = audit.flight_dump();
     let phase = PhaseTotals::from_traces(&flight);
     let phase_coverage = phase.coverage();
-    if std::env::var("RC_SERVE_DEBUG").is_ok() {
-        for e in flight.iter().rev().take(8).rev() {
-            eprintln!(
-                "debug epoch {}: batch {} (u {} q {}, {} flushes) update {:.3} ms query {:.3} ms",
-                e.epoch,
-                e.batch,
-                e.updates,
-                e.queries,
-                e.flushes,
-                (e.admit_ns + e.commit_ns + e.wal_ns) as f64 / 1e6,
-                e.query_ns as f64 / 1e6
-            );
-        }
-    }
     let ops = spec.threads * spec.ops_per_thread;
     LoadResult {
         threads: spec.threads,
